@@ -26,9 +26,14 @@
 //! nondeterministic simulation would contaminate every downstream phase.
 //!
 //! **Lookahead.** Cross-entity messages must be sent with a delay of at
-//! least [`Simulation::lookahead`]. The storage simulator in `pioeval-pfs`
-//! satisfies this naturally: every cross-node message traverses a fabric
-//! link with non-zero latency. Self-messages may use any delay.
+//! least [`Simulation::lookahead`]. Self-messages may use any delay. The
+//! storage models in `pioeval-pfs` and `pioeval-objstore` meet the bound
+//! by construction rather than naturally: fabric links are validated to
+//! have at least the lookahead of latency, but a client or server
+//! *injecting* a message into a fabric is a zero-latency hop in the model,
+//! and it is padded up to the lookahead. So a window holds about one
+//! causal step on those models, which is why the threaded backend hands
+//! sparse runs to the sequential loop (see [`parallel::Backend::Threads`]).
 //!
 //! **Causality sanitizer.** Building with `--features causality-check`
 //! compiles per-worker Lamport-clock guards into both parallel backends

@@ -47,12 +47,22 @@
 use crate::event::Envelope;
 use crate::queue::EventQueue;
 use crate::sim::{Ctx, Entity, RunResult, Simulation};
-use parking_lot::Mutex;
 use pioeval_types::{
     ExecProfile, PhaseRecorder, ProfPhase, SimDuration, SimTime, WorkerProfile, NO_LIMITER,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Windows per cost epoch of the threaded backend: how often the workers
+/// judge whether running threaded still pays (see [`Backend::Threads`]).
+const EPOCH_WINDOWS: u64 = 1024;
+
+/// Lock a mailbox. A poisoned lock means a worker panicked mid-hand-off;
+/// that panic resurfaces at join, so the data is taken as-is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How the executor chooses each window's per-worker horizon.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -139,6 +149,17 @@ pub enum Backend {
     #[default]
     Auto,
     /// One OS thread per worker with spin-barrier synchronization.
+    ///
+    /// The backend judges its own cost once per epoch of 1024 windows.
+    /// When the workers' summed compute time over an epoch falls below
+    /// the epoch's wall time — together they did less than one thread's
+    /// worth of work, a speedup below 1 — every worker leaves the window
+    /// loop at the same boundary and the calling thread finishes the run
+    /// on the sequential event loop. Sparse models (about one causal
+    /// step per window, as on the PFS and object-store models) hand off
+    /// early; dense ones (PHOLD) stay threaded. The hand-off is one-way
+    /// and results stay bit-identical; the profile reports the
+    /// sequential stretch as [`ExecProfile::inline_events`].
     Threads,
     /// All workers multiplexed on the calling thread: same windows, same
     /// partitioning, direct mailbox delivery, zero synchronization cost.
@@ -212,7 +233,10 @@ impl ExecMode {
     /// Run `sim` with the selected executor, recording per-worker phase
     /// timelines. The profile is `Some` only for a genuinely parallel
     /// run (parallel mode, more than one effective worker); sequential
-    /// execution has no phases to attribute.
+    /// execution has no phases to attribute. When a threaded run hands
+    /// its tail to the sequential loop, the worker timelines end at the
+    /// hand-off and the tail is reported as
+    /// [`ExecProfile::inline_events`] / [`ExecProfile::inline_ns`].
     pub fn run_profiled<M: Send + 'static>(
         &self,
         sim: &mut Simulation<M>,
@@ -460,6 +484,9 @@ struct ExecStats {
     wide: u64,
     max_pending: usize,
     halted: bool,
+    /// The threaded backend judged itself a loss and stopped at an epoch
+    /// boundary; the caller finishes the run sequentially.
+    demoted: bool,
 }
 
 /// Per-worker horizon for one window. Returns `(horizon, widened)`;
@@ -546,6 +573,11 @@ fn checkin<M: 'static>(sim: &mut Simulation<M>, workers: &mut [Worker<M>]) -> (u
 /// workers finish their current window), so halting runs may process
 /// more events than the sequential executor would; all events processed
 /// are still processed in the same per-entity order.
+///
+/// On [`Backend::Threads`] (and [`Backend::Auto`] when it resolves to
+/// threads) a run whose threads stop paying for themselves is finished
+/// on the calling thread by [`Simulation::run`]; the returned
+/// [`RunResult`] covers both parts.
 pub fn run_parallel<M: Send + 'static>(sim: &mut Simulation<M>, cfg: &ParallelConfig) -> RunResult {
     run_parallel_inner(sim, cfg, false).0
 }
@@ -629,6 +661,18 @@ fn run_parallel_inner<M: Send + 'static>(
         obs.histogram(pioeval_obs::names::DES_PAR_THREAD_EVENTS)
             .observe(worker.processed);
     }
+    // Hand-off: free the workers' pending-event stores and slot tables
+    // first, then finish through the same sequential loop the
+    // one-worker case uses (it publishes its own events to
+    // `des.events_processed`).
+    drop(workers);
+    let inline = stats.demoted.then(|| {
+        let started = Instant::now();
+        let res = sim.run();
+        obs.counter(pioeval_obs::names::DES_PAR_INLINE_EVENTS)
+            .add(res.events);
+        (res, started.elapsed().as_nanos() as u64)
+    });
 
     let profile_doc = worker_profiles.map(|ws| ExecProfile {
         threads: threads as u32,
@@ -652,17 +696,25 @@ fn run_parallel_inner<M: Send + 'static>(
         wall_ns: ws.iter().map(|w| w.span_ns).max().unwrap_or(0),
         windows: stats.windows,
         workers: ws,
+        inline_events: inline.map_or(0, |(res, _)| res.events),
+        inline_ns: inline.map_or(0, |(_, ns)| ns),
     });
 
-    (
-        RunResult {
-            end_time: SimTime::from_nanos(end_max),
-            events,
-            max_queue: stats.max_pending,
-            halted: stats.halted,
-        },
-        profile_doc,
-    )
+    let mut result = RunResult {
+        end_time: SimTime::from_nanos(end_max),
+        events,
+        max_queue: stats.max_pending,
+        halted: stats.halted,
+    };
+    if let Some((tail, _)) = inline {
+        result.events += tail.events;
+        if tail.events > 0 {
+            result.end_time = tail.end_time;
+        }
+        result.max_queue = result.max_queue.max(tail.max_queue);
+        result.halted = tail.halted;
+    }
+    (result, profile_doc)
 }
 
 /// The peer worker whose published clock actually bounded a window's
@@ -906,6 +958,13 @@ fn run_cooperative<M: 'static>(
 /// the mailbox hand-off share a single generation. Atomic accesses are
 /// `Relaxed`; the barrier's AcqRel handshake provides the
 /// happens-before edge between publish and read.
+///
+/// Every [`EPOCH_WINDOWS`] windows the snapshot also carries each
+/// worker's cumulative compute time and a clock reading, and every
+/// worker judges the epoch from the same numbers: if the summed compute
+/// is below the epoch's wall time, all of them stop at this boundary
+/// with [`ExecStats::demoted`] set (their inboxes already drained), and
+/// the caller finishes the run sequentially.
 fn run_threaded<M: Send + 'static>(
     policy: WindowPolicy,
     lookahead: SimDuration,
@@ -949,6 +1008,12 @@ fn run_threaded<M: Send + 'static>(
     let stamps: Vec<Mutex<Vec<crate::causality::CausalStamp>>> = (0..threads * threads)
         .map(|_| Mutex::new(Vec::new()))
         .collect();
+    // Cost snapshot per worker, written at each epoch's last window and
+    // read right after its barrier. One buffer suffices: the next write
+    // is an epoch (at least one more barrier) after every read.
+    let origin = Instant::now();
+    let busy_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let clock_ns: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
     let mut joined: Vec<(Worker<M>, ExecStats, Option<WorkerProfile>)> =
         Vec::with_capacity(threads);
@@ -961,6 +1026,8 @@ fn run_threaded<M: Send + 'static>(
             let halt = &halt;
             let out_min = &out_min;
             let mailboxes = &mailboxes;
+            let busy_ns = &busy_ns;
+            let clock_ns = &clock_ns;
             #[cfg(feature = "causality-check")]
             let stamps = &stamps;
             handles.push(scope.spawn(move || {
@@ -992,6 +1059,9 @@ fn run_threaded<M: Send + 'static>(
                 let mut staged: Vec<Vec<Envelope<M>>> = (0..threads).map(|_| Vec::new()).collect();
                 let mut stage_min: Vec<u64> = vec![u64::MAX; threads];
                 let mut inbox: Vec<Envelope<M>> = Vec::new();
+                // Summed compute and latest clock at the last epoch
+                // boundary: identical on every worker.
+                let mut epoch_start = (0u64, 0u64);
                 #[cfg(feature = "causality-check")]
                 let mut guard = crate::causality::CausalityGuard::new(tid);
                 #[cfg(feature = "causality-check")]
@@ -1037,7 +1107,7 @@ fn run_threaded<M: Send + 'static>(
                     // events sit at or beyond this worker's horizon, and
                     // the published minima already cover them.
                     for k in 0..threads {
-                        let mut slot = mailboxes[k * threads + tid].lock();
+                        let mut slot = lock(&mailboxes[k * threads + tid]);
                         if !slot.is_empty() {
                             std::mem::swap(&mut *slot, &mut inbox);
                             drop(slot);
@@ -1046,7 +1116,7 @@ fn run_threaded<M: Send + 'static>(
                     }
                     #[cfg(feature = "causality-check")]
                     for k in 0..threads {
-                        let mut sl = stamps[k * threads + tid].lock();
+                        let mut sl = lock(&stamps[k * threads + tid]);
                         for st in sl.drain(..) {
                             chan.on_deliver(&st, guard.committed());
                         }
@@ -1061,6 +1131,21 @@ fn run_threaded<M: Send + 'static>(
                     if t == u64::MAX || was_halted || stop_at.is_some_and(|limit| t > limit) {
                         stats.halted = was_halted;
                         break;
+                    }
+                    if stats.windows > 0 && stats.windows % EPOCH_WINDOWS == 0 {
+                        // Judge the epoch just ended from the shared
+                        // snapshot, so every worker decides alike.
+                        let mut busy = 0u64;
+                        let mut clock = 0u64;
+                        for j in 0..threads {
+                            busy += busy_ns[j].load(Ordering::Relaxed);
+                            clock = clock.max(clock_ns[j].load(Ordering::Relaxed));
+                        }
+                        if busy - epoch_start.0 < clock - epoch_start.1 {
+                            stats.demoted = true;
+                            break;
+                        }
+                        epoch_start = (busy, clock);
                     }
                     stats.windows += 1;
                     let (h, wide) = horizon(policy, threads, my_next, others, t, la, stop_at);
@@ -1148,7 +1233,7 @@ fn run_threaded<M: Send + 'static>(
                         let batch_min = stage_min[w];
                         stage_min[w] = u64::MAX;
                         if !staged[w].is_empty() {
-                            let mut slot = mailboxes[tid * threads + w].lock();
+                            let mut slot = lock(&mailboxes[tid * threads + w]);
                             if slot.is_empty() {
                                 std::mem::swap(&mut *slot, &mut staged[w]);
                             } else {
@@ -1163,7 +1248,7 @@ fn run_threaded<M: Send + 'static>(
                                     min_time: batch_min,
                                 };
                                 send_seq[w] += 1;
-                                stamps[tid * threads + w].lock().push(st);
+                                lock(&stamps[tid * threads + w]).push(st);
                             }
                         }
                     }
@@ -1173,6 +1258,10 @@ fn run_threaded<M: Send + 'static>(
                         Ordering::Relaxed,
                     );
                     halt[q][tid].store(halt_flag, Ordering::Relaxed);
+                    if stats.windows % EPOCH_WINDOWS == 0 {
+                        busy_ns[tid].store(worker.busy.as_nanos() as u64, Ordering::Relaxed);
+                        clock_ns[tid].store(origin.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    }
                     p = q;
                     barrier.wait();
                     if let Some(r) = rec.as_mut() {
@@ -1209,6 +1298,7 @@ fn run_threaded<M: Send + 'static>(
             merged.windows = stats.windows;
             merged.max_pending = stats.max_pending;
             merged.halted = stats.halted;
+            merged.demoted = stats.demoted;
         }
         merged.wide += stats.wide;
         profiles.extend(worker_profile);
@@ -1577,7 +1667,11 @@ mod tests {
             assert!(profile.windows > 0);
             assert!(profile.wall_ns > 0);
             let events: u64 = profile.workers.iter().map(|w| w.events).sum();
-            assert_eq!(events, res.events, "{backend:?}: event attribution");
+            assert_eq!(
+                events + profile.inline_events,
+                res.events,
+                "{backend:?}: event attribution"
+            );
             let entities: u64 = profile.workers.iter().map(|w| w.entities).sum();
             assert_eq!(entities, nodes as u64);
             for w in &profile.workers {
@@ -1585,6 +1679,193 @@ mod tests {
                 assert!(w.samples.len() as u64 + w.dropped_samples == w.windows);
             }
         }
+    }
+
+    /// Dense-then-sparse traffic: every token hops to a pseudo-random
+    /// peer until `dense_until`; after that only token 0 keeps going, one
+    /// lookahead per hop around the ring, until it has made `chain_hops`
+    /// hops in total. Messages carry `token << 32 | hops`.
+    struct Hopper {
+        peers: u32,
+        dense_until: SimTime,
+        chain_hops: u64,
+        fingerprint: u64,
+    }
+
+    impl Entity<u64> for Hopper {
+        fn on_event(&mut self, ev: Envelope<u64>, ctx: &mut Ctx<'_, u64>) {
+            self.fingerprint =
+                self.fingerprint.wrapping_mul(0x100000001B3) ^ ev.msg ^ ev.time().as_nanos();
+            let (token, hops) = (ev.msg >> 32, ev.msg & 0xFFFF_FFFF);
+            let msg = ev.msg + 1;
+            if ctx.now() < self.dense_until {
+                let h = (ev.msg ^ ev.time().as_nanos()).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+                let dst = EntityId((h % self.peers as u64) as u32);
+                let delay = SimDuration::from_nanos(ctx.lookahead().as_nanos() * (1 + h % 3));
+                ctx.send(dst, delay, msg);
+            } else if token == 0 && hops < self.chain_hops {
+                let dst = EntityId((ctx.me().0 + 1) % self.peers);
+                ctx.send(dst, ctx.lookahead(), msg);
+            }
+        }
+    }
+
+    fn build_dense_then_chain(chain_hops: u64) -> Simulation<u64> {
+        let peers = 12u32;
+        let mut sim = Simulation::new(SimConfig::default());
+        for i in 0..peers {
+            sim.add_entity(
+                format!("hop{i}"),
+                Box::new(Hopper {
+                    peers,
+                    dense_until: SimTime::from_micros(150),
+                    chain_hops,
+                    fingerprint: 0,
+                }),
+            );
+        }
+        for token in 0..96u64 {
+            sim.schedule(
+                SimTime::from_nanos(token * 10),
+                EntityId((token % peers as u64) as u32),
+                token << 32,
+            );
+        }
+        sim
+    }
+
+    fn hopper_fingerprints(sim: &Simulation<u64>) -> Vec<u64> {
+        (0..sim.num_entities() as u32)
+            .map(|i| sim.entity_ref::<Hopper>(EntityId(i)).unwrap().fingerprint)
+            .collect()
+    }
+
+    /// A threaded run that turns sparse hands its tail to the sequential
+    /// loop exactly once, at an epoch boundary, with results identical
+    /// to the sequential run and every event attributed once.
+    #[test]
+    fn starved_threaded_run_hands_off_to_sequential() {
+        let mut seq = build_dense_then_chain(6000);
+        let seq_res = seq.run();
+        let seq_fp = hopper_fingerprints(&seq);
+        for threads in [2, 3] {
+            let cfg = ParallelConfig {
+                threads,
+                backend: Backend::Threads,
+                ..ParallelConfig::default()
+            };
+            let mut plain = build_dense_then_chain(6000);
+            let plain_res = run_parallel(&mut plain, &cfg);
+            assert_eq!(hopper_fingerprints(&plain), seq_fp, "{threads} threads");
+            assert_eq!(
+                (plain_res.events, plain_res.end_time),
+                (seq_res.events, seq_res.end_time),
+                "{threads} threads"
+            );
+
+            let mut par = build_dense_then_chain(6000);
+            let (res, profile) = run_parallel_profiled(&mut par, &cfg);
+            assert_eq!(
+                hopper_fingerprints(&par),
+                seq_fp,
+                "{threads} threads, profiled"
+            );
+            assert_eq!(
+                (res.events, res.end_time),
+                (seq_res.events, seq_res.end_time)
+            );
+            let profile = profile.expect("a threaded run yields a profile");
+            assert!(
+                profile.inline_events > 0,
+                "{threads} threads never handed off"
+            );
+            assert!(profile.inline_ns > 0);
+            // One hand-off, at an epoch boundary: no window ran after it.
+            assert_eq!(profile.windows % EPOCH_WINDOWS, 0, "{threads} threads");
+            assert!(profile.conserves(), "{threads} threads: phases != spans");
+            let threaded: u64 = profile.workers.iter().map(|w| w.events).sum();
+            assert_eq!(threaded + profile.inline_events, res.events);
+            for w in &profile.workers {
+                assert_eq!(w.windows, profile.windows, "worker spans end together");
+            }
+        }
+    }
+
+    /// A time limit that falls after the hand-off is enforced by the
+    /// sequential tail exactly as a sequential run would: same events,
+    /// and the events past the limit stay pending for a later run.
+    #[test]
+    fn handoff_respects_time_limit() {
+        let limit = Some(SimTime::from_micros(4000));
+        let mut seq = build_dense_then_chain(6000);
+        seq.set_time_limit(limit);
+        let seq_res = seq.run();
+        let mut par = build_dense_then_chain(6000);
+        par.set_time_limit(limit);
+        let cfg = ParallelConfig {
+            threads: 2,
+            backend: Backend::Threads,
+            ..ParallelConfig::default()
+        };
+        let (res, profile) = run_parallel_profiled(&mut par, &cfg);
+        assert!(profile.expect("threaded profile").inline_events > 0);
+        assert_eq!(
+            (res.events, res.end_time),
+            (seq_res.events, seq_res.end_time)
+        );
+        assert_eq!(hopper_fingerprints(&par), hopper_fingerprints(&seq));
+        seq.set_time_limit(None);
+        par.set_time_limit(None);
+        assert_eq!(par.run().events, seq.run().events);
+        assert_eq!(hopper_fingerprints(&par), hopper_fingerprints(&seq));
+    }
+
+    /// Dense PHOLD keeps both threads busy through its epoch boundaries,
+    /// so it stays threaded to the end. Whether two threads beat one is
+    /// a property of the host at that moment, so the claim is checked on
+    /// up to three runs and holds when one of them stays threaded; an
+    /// inverted or mis-scaled rule hands off on all three.
+    #[test]
+    fn dense_phold_stays_threaded() {
+        use crate::phold::{build_phold, phold_fingerprint, PholdConfig};
+        let phold = PholdConfig {
+            lps: 64,
+            population: 2048,
+            horizon: SimTime::from_millis(12),
+            ..PholdConfig::default()
+        };
+        let mut seq = build_phold(&phold);
+        let seq_res = seq.run();
+        let cfg = ParallelConfig {
+            threads: 2,
+            backend: Backend::Threads,
+            ..ParallelConfig::default()
+        };
+        let mut inline = Vec::new();
+        for _ in 0..3 {
+            let mut par = build_phold(&phold);
+            let (res, profile) = run_parallel_profiled(&mut par, &cfg);
+            assert_eq!(
+                (res.events, res.end_time),
+                (seq_res.events, seq_res.end_time)
+            );
+            assert_eq!(
+                phold_fingerprint(&par, phold.lps),
+                phold_fingerprint(&seq, phold.lps)
+            );
+            let profile = profile.expect("a threaded run yields a profile");
+            let threaded: u64 = profile.workers.iter().map(|w| w.events).sum();
+            assert_eq!(threaded + profile.inline_events, res.events);
+            if profile.inline_events == 0 {
+                assert!(
+                    profile.windows > EPOCH_WINDOWS,
+                    "the run must cross an epoch boundary to be judged"
+                );
+                return;
+            }
+            inline.push(profile.inline_events);
+        }
+        panic!("dense PHOLD handed off on every run: inline events {inline:?}");
     }
 
     /// A single effective worker runs sequentially: no profile.

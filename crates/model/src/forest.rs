@@ -2,15 +2,13 @@
 //!
 //! The model class of Sun et al. ("Automated Performance Modeling of HPC
 //! Applications Using Machine Learning"): bootstrap-sampled trees with
-//! per-split feature subsampling, averaged at prediction time. Trees are
-//! trained in parallel with rayon (the guide-sanctioned data-parallelism
-//! idiom), with per-tree seeds derived deterministically so the fit is
-//! identical at any thread count.
+//! per-split feature subsampling, averaged at prediction time. Each tree
+//! is fitted independently from its own deterministically derived seed,
+//! so the fit does not depend on the order trees are grown in.
 
 use crate::tree::{RegressionTree, TreeConfig};
 use pioeval_types::{rng, split_seed, Error, Result};
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Forest configuration.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +56,6 @@ impl RandomForest {
             .clamp(1, dims);
 
         let trees: Result<Vec<RegressionTree>> = (0..cfg.trees)
-            .into_par_iter()
             .map(|t| {
                 // Bootstrap sample with a per-tree deterministic seed.
                 let mut r = rng(split_seed(cfg.seed, t as u64));
@@ -90,9 +87,9 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predict many rows in parallel.
+    /// Predict many rows.
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.par_iter().map(|x| self.predict(x)).collect()
+        xs.iter().map(|x| self.predict(x)).collect()
     }
 
     /// Mean feature importance across trees.

@@ -15,7 +15,11 @@
 //!   vs. lookahead limit vs. coordination overhead,
 //! * what-if speedup ceilings: ideal partitioning (skew removed,
 //!   windowing kept) and infinite lookahead (synchronization removed,
-//!   partition kept).
+//!   partition kept),
+//! * the sequential hand-off: when the threaded executor judged itself
+//!   a loss and finished on the calling thread, every figure above
+//!   covers the threaded section only and the hand-off is named as a
+//!   cause of its own.
 //!
 //! The ceilings are deliberately simple closed forms over the recorded
 //! totals (documented on [`ProfileAnalysis`]); they bound what the
@@ -62,11 +66,12 @@ impl LostParallelism {
 }
 
 /// One named cause of lost parallelism, with its share of total worker
-/// wall-clock and a human-readable detail line.
+/// wall-clock (of the whole run's wall clock for `sequential-handoff`)
+/// and a human-readable detail line.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Cause {
     /// Stable cause name (`partition-skew`, `lookahead-limit`,
-    /// `barrier-coordination`, `mailbox-drain`).
+    /// `barrier-coordination`, `mailbox-drain`, `sequential-handoff`).
     pub name: String,
     /// Share of summed worker spans this cause accounts for (0..1).
     pub share: f64,
@@ -115,8 +120,15 @@ pub struct ProfileAnalysis {
     pub windows: u64,
     /// Total compute across workers (ns).
     pub total_compute_ns: u64,
-    /// `total_compute / (threads * wall)` — 1.0 means perfect scaling.
+    /// `total_compute / (threads * wall)` over the threaded section
+    /// only — 1.0 means perfect scaling.
     pub parallel_efficiency: f64,
+    /// Events finished on the calling thread's sequential loop after
+    /// the hand-off (0 when the run stayed threaded).
+    pub inline_events: u64,
+    /// Share of the run's wall clock (threaded section plus sequential
+    /// stretch) spent after the hand-off.
+    pub inline_share: f64,
     /// Max/mean ratio of per-worker compute totals (1.0 = balanced).
     pub compute_imbalance: f64,
     /// Horizon-stall share of summed worker spans.
@@ -309,6 +321,25 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
             ),
         });
     }
+    let inline_share = p.inline_ns as f64 / ((p.wall_ns + p.inline_ns) as f64).max(1.0);
+    if p.inline_events > 0 {
+        let threaded_events: u64 = p.workers.iter().map(|w| w.events).sum();
+        causes.push(Cause {
+            name: "sequential-handoff".into(),
+            share: inline_share,
+            detail: format!(
+                "the workers' summed compute fell below the epoch's wall time after {} \
+                 windows; {} of {} events ({:.1}%) finished on the sequential loop in \
+                 {:.2} ms ({:.1}% of run wall)",
+                p.windows,
+                p.inline_events,
+                threaded_events + p.inline_events,
+                100.0 * p.inline_events as f64 / (threaded_events + p.inline_events) as f64,
+                p.inline_ns as f64 / 1e6,
+                100.0 * inline_share
+            ),
+        });
+    }
     causes.sort_by(|a, b| {
         b.share
             .partial_cmp(&a.share)
@@ -333,6 +364,8 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
         windows: p.windows,
         total_compute_ns: total_compute,
         parallel_efficiency,
+        inline_events: p.inline_events,
+        inline_share,
         compute_imbalance,
         stall_share,
         barrier_share,
@@ -454,6 +487,7 @@ mod tests {
             wall_ns: workers.iter().map(|w| w.span_ns).max().unwrap_or(0),
             windows: workers.first().map_or(0, |w| w.windows),
             workers,
+            ..ExecProfile::default()
         }
     }
 
@@ -538,6 +572,34 @@ mod tests {
             + a.mailbox_share
             + a.total_compute_ns as f64 / (p.workers[0].span_ns as f64).max(1.0);
         assert!((share_sum - 1.0).abs() < 1e-9, "shares tile: {share_sum}");
+    }
+
+    #[test]
+    fn handoff_is_named_and_efficiency_stays_threaded() {
+        let threaded = profile(vec![
+            worker(
+                0,
+                [100, 10, 880, 10],
+                vec![sample([100, 10, 880, 10], 5, 1)],
+            ),
+            worker(1, [90, 10, 890, 10], vec![sample([90, 10, 890, 10], 3, 0)]),
+        ]);
+        let before = analyze_profile(&threaded);
+        assert_eq!(before.inline_events, 0);
+        assert!(before.causes.iter().all(|c| c.name != "sequential-handoff"));
+        let handed_off = ExecProfile {
+            inline_events: 800,
+            inline_ns: 9_000,
+            ..threaded
+        };
+        let after = analyze_profile(&handed_off);
+        assert_eq!(after.inline_events, 800);
+        assert!((after.inline_share - 0.9).abs() < 1e-9);
+        assert_eq!(after.causes[0].name, "sequential-handoff");
+        assert!(after.causes[0].detail.contains("800 of 1000 events"));
+        // The threaded section's figures do not see the tail.
+        assert_eq!(after.parallel_efficiency, before.parallel_efficiency);
+        assert_eq!(after.classification, before.classification);
     }
 
     #[test]

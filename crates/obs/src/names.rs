@@ -31,6 +31,10 @@ pub const DES_PAR_WIDE_WINDOWS: &str = "des.par.wide_windows";
 /// Counter: parallel runs that resolved to the cooperative
 /// (single-thread, barrier-free) backend.
 pub const DES_PAR_RUNS_COOP: &str = "des.par.runs_coop";
+/// Counter: events a threaded parallel run left to the calling thread's
+/// sequential loop after judging its threads a loss (also counted in
+/// [`DES_EVENTS`], once).
+pub const DES_PAR_INLINE_EVENTS: &str = "des.par.inline_events";
 
 /// Counter: events committed so far *inside* the currently running DES
 /// executor — the live sampler's progress signal. Unlike [`DES_EVENTS`]

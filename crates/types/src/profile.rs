@@ -160,6 +160,14 @@ pub struct ExecProfile {
     pub windows: u64,
     /// Per-worker timelines, in worker order.
     pub workers: Vec<WorkerProfile>,
+    /// Events the executor ran on the calling thread's sequential loop
+    /// after handing the rest of a losing threaded run over (0 when the
+    /// run stayed threaded). Worker spans end at the hand-off, so these
+    /// events are outside every worker's `events`.
+    pub inline_events: u64,
+    /// Wall clock of that sequential stretch (ns); not part of
+    /// [`ExecProfile::wall_ns`].
+    pub inline_ns: u64,
 }
 
 impl ExecProfile {
@@ -186,7 +194,7 @@ impl ExecProfile {
             "{{\"schema\": \"{}\", \"threads\": {}, \"backend\": \"{}\", \
              \"window_policy\": \"{}\", \"partitioner\": \"{}\", \
              \"lookahead_ns\": {}, \"wall_ns\": {}, \"windows\": {}, \
-             \"workers\": [",
+             \"inline_events\": {}, \"inline_ns\": {}, \"workers\": [",
             Self::SCHEMA,
             self.threads,
             self.backend,
@@ -194,7 +202,9 @@ impl ExecProfile {
             self.partitioner,
             self.lookahead_ns,
             self.wall_ns,
-            self.windows
+            self.windows,
+            self.inline_events,
+            self.inline_ns
         ));
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
@@ -399,6 +409,8 @@ mod tests {
             wall_ns: 123,
             windows: 1,
             workers: vec![rec.finish(4, 5)],
+            inline_events: 7,
+            inline_ns: 456,
         };
         assert!(prof.conserves());
         let json = prof.to_json();
@@ -406,6 +418,7 @@ mod tests {
         assert!(json.contains("\"backend\": \"threads\""));
         assert!(json.contains("\"compute_ns\""));
         assert!(json.contains("\"limiter\": 1"));
+        assert!(json.contains("\"inline_events\": 7, \"inline_ns\": 456"));
     }
 
     #[test]
@@ -422,6 +435,7 @@ mod tests {
             wall_ns: 1,
             windows: 1,
             workers: vec![rec.finish(1, 0)],
+            ..ExecProfile::default()
         };
         assert!(prof.to_json().contains("\"limiter\": -1"));
     }

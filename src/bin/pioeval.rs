@@ -2404,6 +2404,12 @@ fn parse_profile(doc: &serde_json::Value) -> Result<pioeval::types::ExecProfile,
             .and_then(json_u64)
             .ok_or_else(|| format!("field \"{key}\": expected an unsigned integer"))
     };
+    let opt_u64_of = |v: &serde_json::Value, key: &str| -> Result<u64, String> {
+        match v.get(key) {
+            None => Ok(0),
+            Some(_) => u64_of(v, key),
+        }
+    };
     let phases_of = |v: &serde_json::Value| -> Result<[u64; pioeval::types::PROF_PHASES], String> {
         let mut out = [0u64; pioeval::types::PROF_PHASES];
         for p in ProfPhase::ALL {
@@ -2464,6 +2470,10 @@ fn parse_profile(doc: &serde_json::Value) -> Result<pioeval::types::ExecProfile,
         wall_ns: u64_of(doc, "wall_ns")?,
         windows: u64_of(doc, "windows")?,
         workers,
+        // Added within schema 1: documents written before the threaded
+        // executor could hand off to the sequential loop read as 0.
+        inline_events: opt_u64_of(doc, "inline_events")?,
+        inline_ns: opt_u64_of(doc, "inline_ns")?,
     })
 }
 
@@ -2497,7 +2507,8 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
          \"stall_share\": {:.6}, \"barrier_share\": {:.6}, \
          \"mailbox_share\": {:.6}, \"classification\": \"{}\", \
          \"ceiling_ideal_partition\": {:.4}, \
-         \"ceiling_infinite_lookahead\": {:.4}",
+         \"ceiling_infinite_lookahead\": {:.4}, \"inline_events\": {}, \
+         \"inline_ns\": {}, \"inline_share\": {:.6}",
         pioeval::types::ExecProfile::SCHEMA,
         a.threads,
         json_escape(&p.backend),
@@ -2514,6 +2525,9 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
         a.classification.name(),
         a.ceiling_ideal_partition,
         a.ceiling_infinite_lookahead,
+        a.inline_events,
+        p.inline_ns,
+        a.inline_share,
     );
     s.push_str(", \"causes\": [");
     for (i, c) in a.causes.iter().enumerate() {
@@ -2585,6 +2599,16 @@ fn render_profile(
         100.0 * a.parallel_efficiency,
         a.compute_imbalance
     );
+    if a.inline_events > 0 {
+        let _ = writeln!(
+            out,
+            "sequential hand-off: {} events in {:.2} ms on the calling thread \
+             ({:.0}% of run wall); figures below cover the threaded section",
+            a.inline_events,
+            p.inline_ns as f64 / 1e6,
+            100.0 * a.inline_share
+        );
+    }
     out.push('\n');
     let mut table = Table::new(vec![
         "worker", "entities", "events", "compute", "mailbox", "barrier", "stall", "null win",
@@ -3124,6 +3148,33 @@ mod tests {
         assert!(serde_json::parse(&chrome_doc).is_ok());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&chrome);
+    }
+
+    #[test]
+    fn profile_reader_round_trips_and_defaults_inline_fields() {
+        use pioeval::types::{ExecProfile, PhaseRecorder, ProfPhase};
+        let mut rec = PhaseRecorder::start(0);
+        rec.mark(ProfPhase::Compute);
+        rec.end_window(3, 1);
+        let prof = ExecProfile {
+            threads: 2,
+            backend: "threads".into(),
+            window_policy: "adaptive".into(),
+            partitioner: "round_robin".into(),
+            lookahead_ns: 1000,
+            wall_ns: 50,
+            windows: 1,
+            workers: vec![rec.finish(4, 3)],
+            inline_events: 97,
+            inline_ns: 400,
+        };
+        let text = prof.to_json();
+        assert_eq!(parse_profile(&serde_json::parse(&text).unwrap()), Ok(prof));
+        // A document written before the hand-off existed reads as 0.
+        let old = text.replace("\"inline_events\": 97, \"inline_ns\": 400, ", "");
+        assert_ne!(old, text);
+        let back = parse_profile(&serde_json::parse(&old).unwrap()).unwrap();
+        assert_eq!((back.inline_events, back.inline_ns), (0, 0));
     }
 
     #[test]
