@@ -232,6 +232,7 @@ pub fn measure_target_instrumented(
         start: SimTime::ZERO,
     };
     let handle = launch_on(&mut target, &spec);
+    drop(spec);
     if request_trace {
         enable_request_trace(&mut target, &handle);
     }
@@ -252,11 +253,9 @@ pub fn measure_target_instrumented(
         pioeval_reqtrace::assemble(&events)
     });
     let job = collect_on(&target, &handle);
-    let all_records = job.all_records();
-    // The profile comes from the ranks' always-on streaming counters, so
-    // it is complete even when record capture is disabled.
-    let profile = job.merged_profile();
-    let dxt = DxtTrace::from_records(&all_records);
+    // Read everything the report needs from the simulated cluster, then
+    // free it before the record copy and the trace products are built:
+    // the cluster and the flattened records never need to coexist.
     let (servers, mds_ops, fabrics, burst_buffers, gateways) = match &mut target {
         StorageTarget::Pfs(cluster) => (
             cluster.oss_stats(),
@@ -274,11 +273,19 @@ pub fn measure_target_instrumented(
         ),
     };
     let resilience = target.resilience();
-    let timelines: Vec<_> = servers
-        .iter()
-        .flat_map(|s| s.timelines.iter().cloned())
-        .collect();
-    let analysis = SystemAnalysis::from_timelines(&timelines);
+    let analysis = {
+        let timelines: Vec<_> = servers
+            .iter()
+            .flat_map(|s| s.timelines.iter().cloned())
+            .collect();
+        SystemAnalysis::from_timelines(&timelines)
+    };
+    drop(target);
+    // The profile comes from the ranks' always-on streaming counters, so
+    // it is complete even when record capture is disabled.
+    let profile = job.merged_profile();
+    // The flattened record copy lives only as long as the DXT build.
+    let dxt = DxtTrace::from_records(&job.all_records());
     Ok(MeasurementReport {
         job,
         profile,

@@ -118,7 +118,10 @@ pub struct RunResult {
     pub events: u64,
     /// High-water mark of the pending-event set.
     ///
-    /// The sequential executor samples after every push. The parallel
+    /// The sequential executor samples once per event, after the
+    /// handled event's emits are queued: the pending set without the
+    /// handled event plus what it emitted (its first emit reuses the
+    /// handled event's heap slot, see [`EventQueue::hold`]). The parallel
     /// executor samples the *global* pending count at synchronization
     /// window boundaries (all workers quiesced), so its value is a true
     /// concurrent occupancy — never the sum of independent per-worker
@@ -243,6 +246,9 @@ impl<M: 'static> Simulation<M> {
     ///
     /// Processes events in global [`EventKey`] order until the queue is
     /// empty, the time limit is exceeded, or an entity halts the run.
+    /// Each event is handled while it still holds the top of the queue,
+    /// and its first emit takes that slot with one sift-down
+    /// ([`EventQueue::hold`]) instead of a pop and a push.
     ///
     /// Telemetry: the run is recorded as a `des.run.seq` span on the
     /// global [`pioeval_obs`] registry, and the event count and queue
@@ -283,7 +289,6 @@ impl<M: 'static> Simulation<M> {
         let mut live_pending = 0u64;
         let mut events = 0u64;
         let mut halted = false;
-        let mut emitted: Vec<Envelope<M>> = Vec::new();
         while let Some(key) = self.queue.peek_key() {
             if halted {
                 break;
@@ -293,30 +298,39 @@ impl<M: 'static> Simulation<M> {
                     break;
                 }
             }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.now = ev.time();
-            let dst = ev.dst();
+            self.now = key.time;
+            let dst = key.dst;
             let entity = self.entities[dst.index()]
                 .as_mut()
                 .expect("entity checked out during sequential run");
-            let mut ctx = Ctx {
-                now: self.now,
-                me: dst,
-                lookahead: self.cfg.lookahead,
-                seq: &mut self.seqs[dst.index()],
-                emitted: &mut emitted,
-                halt: &mut halted,
-            };
-            entity.on_event(ev, &mut ctx);
+            let seq = &mut self.seqs[dst.index()];
+            let (now, lookahead, halt) = (self.now, self.cfg.lookahead, &mut halted);
+            // The handler runs while its event holds the top of the
+            // queue; its first emit then takes that slot in place.
+            let settled = self
+                .queue
+                .hold(|ev, emitted| {
+                    let mut ctx = Ctx {
+                        now,
+                        me: dst,
+                        lookahead,
+                        seq,
+                        emitted,
+                        halt,
+                    };
+                    entity.on_event(ev, &mut ctx);
+                })
+                .expect("peeked event vanished");
             events += 1;
             live_pending += 1;
             if live_pending == LIVE_CHUNK {
                 live_events.add(live_pending);
                 live_pending = 0;
-                live_queue.record(self.queue.len() as u64);
+                // Depth without the handled event or its emits, as
+                // between a pop and the push of what it emitted.
+                live_queue.record((self.queue.len() - settled) as u64);
             }
             hook(dst);
-            self.queue.push_batch(&mut emitted);
         }
         if live_pending > 0 {
             live_events.add(live_pending);
