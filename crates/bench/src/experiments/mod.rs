@@ -42,32 +42,39 @@ pub fn run(
     .expect("experiment simulation failed")
 }
 
+/// One experiment: its index id (the `exp_all` argument, e.g. `fig3`,
+/// `e11`) and its entry point.
+pub type Experiment = (&'static str, fn(Scale) -> ExpOutput);
+
+/// Every experiment, in index order.
+pub const EXPERIMENTS: [Experiment; 24] = [
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("x1", x1),
+    ("x2", x2),
+    ("x3", x3),
+    ("x4", x4),
+    ("x5", x5),
+    ("x6", x6),
+];
+
 /// All experiments, in index order.
 pub fn all(scale: Scale) -> Vec<ExpOutput> {
-    vec![
-        fig1(scale),
-        fig2(scale),
-        fig3(scale),
-        fig4(scale),
-        e1(scale),
-        e2(scale),
-        e3(scale),
-        e4(scale),
-        e5(scale),
-        e6(scale),
-        e7(scale),
-        e8(scale),
-        e9(scale),
-        e10(scale),
-        e11(scale),
-        e12(scale),
-        e13(scale),
-        e14(scale),
-        x1(scale),
-        x2(scale),
-        x3(scale),
-        x4(scale),
-        x5(scale),
-        x6(scale),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect()
 }

@@ -5,7 +5,7 @@
 //! The benchmark harness: one experiment per figure of the paper
 //! (F1–F4) and per quantitative claim its text makes (E1–E14), as
 //! indexed in DESIGN.md. Each experiment is a pure function returning an
-//! [`ExpOutput`]; the `exp_*` binaries print them, EXPERIMENTS.md records
+//! [`ExpOutput`]; `exp_all` prints them, EXPERIMENTS.md records
 //! them, and `benches/experiments.rs` measures their core operations
 //! with Criterion.
 
@@ -84,9 +84,11 @@ mod tests {
     fn all_experiments_produce_tables_at_quick_scale() {
         let outputs = experiments::all(Scale::Quick);
         assert_eq!(outputs.len(), 24);
-        for o in outputs {
+        for (o, (id, _)) in outputs.iter().zip(experiments::EXPERIMENTS) {
             assert!(!o.table.is_empty(), "{} produced an empty table", o.id);
             assert!(!o.render().is_empty());
+            // `exp_all` ids name the index entry the experiment reports.
+            assert_eq!(id.replace("fig", "f").to_uppercase(), o.id);
         }
     }
 }

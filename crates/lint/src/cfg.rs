@@ -21,6 +21,7 @@
 //! a `repeat 0` head has no edge into its body, so the body subgraph is
 //! unreachable from the entry node.
 
+use pioeval_obs::export::esc;
 use pioeval_workloads::dsl::{CampaignDecl, DslProgram, DslWorkload, Stmt, StmtKind};
 
 /// What a [`Block`] is.
@@ -335,6 +336,7 @@ pub fn stmt_text(s: &Stmt) -> String {
     }
 }
 
+/// Escape a Graphviz dot string label.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -406,7 +408,7 @@ impl ProgramCfg {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"entry\":{},\"exit\":{},\"blocks\":[",
-                escape(&unit.name),
+                esc(&unit.name),
                 unit.entry,
                 unit.exit
             ));
@@ -449,7 +451,7 @@ impl ProgramCfg {
                     out.push_str(&format!(
                         "{{\"line\":{},\"text\":\"{}\"}}",
                         s.line,
-                        escape(&stmt_text(s))
+                        esc(&stmt_text(s))
                     ));
                 }
                 out.push_str(&format!("],\"succ\":{:?}}}", b.succ));
@@ -463,7 +465,7 @@ impl ProgramCfg {
             }
             out.push_str(&format!(
                 "{{\"workload\":\"{}\",\"ranks\":{ranks},\"line\":{line}}}",
-                escape(workload)
+                esc(workload)
             ));
         }
         out.push_str("]}");
@@ -597,5 +599,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_names() {
+        let src =
+            "file ck\x01pt shared lane 1m\ncreate ck\x01pt\nwrite ck\x01pt 1m\nclose ck\x01pt";
+        let p = pioeval_workloads::dsl::parse_program_ast(src, 0).unwrap();
+        let json = lower_program(&p).to_json();
+        assert!(
+            !json.bytes().any(|b| b < 0x20),
+            "raw control byte: {json:?}"
+        );
+        let doc = serde_json::parse(&json).expect("CFG JSON must parse");
+        let Some(serde_json::Value::Seq(units)) = doc.get("units") else {
+            panic!("no units: {json}");
+        };
+        let Some(serde_json::Value::Seq(blocks)) = units[0].get("blocks") else {
+            panic!("no blocks: {json}");
+        };
+        let texts: Vec<&serde_json::Value> = blocks
+            .iter()
+            .filter_map(|b| match b.get("stmts") {
+                Some(serde_json::Value::Seq(stmts)) => Some(stmts),
+                _ => None,
+            })
+            .flatten()
+            .filter_map(|s| s.get("text"))
+            .collect();
+        assert_eq!(
+            texts.first(),
+            Some(&&serde_json::Value::Str("create ck\x01pt".into()))
+        );
     }
 }

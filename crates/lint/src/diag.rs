@@ -1,6 +1,7 @@
 //! Diagnostic primitives: stable codes, severities, source spans, and
 //! report rendering (human and JSON).
 
+use pioeval_obs::export::esc;
 use std::fmt;
 
 /// Stable diagnostic codes. The `PIO0xx` string of each code is part of
@@ -584,28 +585,11 @@ impl LintReport {
             if let Some(n) = d.line {
                 out.push_str(&format!("\"line\":{n},"));
             }
-            out.push_str(&format!("\"message\":\"{}\"}}", escape_json(&d.message)));
+            out.push_str(&format!("\"message\":\"{}\"}}", esc(&d.message)));
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

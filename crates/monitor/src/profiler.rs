@@ -26,6 +26,7 @@
 //! corresponding engineering fix could buy, which is exactly the
 //! evidence the optimistic-DES roadmap item needs.
 
+use pioeval_obs::perfetto::TraceWriter;
 use pioeval_types::{ExecProfile, ProfPhase, NO_LIMITER, PROF_PHASES};
 use serde::{Deserialize, Serialize};
 
@@ -386,41 +387,28 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
 /// worker in `args`), and a window-boundary track from worker 0's
 /// samples.
 pub fn profile_chrome_trace(p: &ExecProfile) -> String {
-    let mut events: Vec<String> = Vec::new();
-    let us = |ns: u64| ns as f64 / 1000.0;
-    events.push(
-        "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-         \"args\": {\"name\": \"des-workers\"}}"
-            .to_string(),
-    );
-    for w in &p.workers {
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"worker {} ({} LPs, {} events)\"}}}}",
-            w.worker, w.worker, w.entities, w.events
-        ));
-        for s in &w.samples {
+    let mut w = TraceWriter::default();
+    w.process_name(1, "des-workers");
+    for wp in &p.workers {
+        let track = format!(
+            "worker {} ({} LPs, {} events)",
+            wp.worker, wp.entities, wp.events
+        );
+        w.thread_name(1, wp.worker, &track);
+        for s in &wp.samples {
             let mut at = s.start_ns;
-            for phase in pioeval_types::ProfPhase::ALL {
+            for phase in ProfPhase::ALL {
                 let dur = s.phase_ns[phase.index()];
                 if dur == 0 {
-                    at += dur;
                     continue;
                 }
-                let args = if phase == ProfPhase::HorizonStall && s.limiter != NO_LIMITER {
-                    format!(", \"args\": {{\"limiter\": {}}}", s.limiter)
+                let limiter = [("limiter", u64::from(s.limiter))];
+                let args: &[_] = if phase == ProfPhase::HorizonStall && s.limiter != NO_LIMITER {
+                    &limiter
                 } else {
-                    String::new()
+                    &[]
                 };
-                events.push(format!(
-                    "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \
-                     \"cat\": \"des\", \"ts\": {:.3}, \"dur\": {:.3}{}}}",
-                    w.worker,
-                    phase.name(),
-                    us(at),
-                    us(dur),
-                    args
-                ));
+                w.complete(1, wp.worker, phase.name(), "des", at..at + dur, args);
                 at += dur;
             }
         }
@@ -428,25 +416,21 @@ pub fn profile_chrome_trace(p: &ExecProfile) -> String {
     // Window-boundary track from worker 0 (windows are shared).
     if let Some(w0) = p.workers.first() {
         let tid = p.threads;
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"windows\"}}}}"
-        ));
+        w.thread_name(1, tid, "windows");
         for (i, s) in w0.samples.iter().enumerate() {
             let dur: u64 = s.phase_ns.iter().sum();
-            events.push(format!(
-                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"w{}\", \
-                 \"cat\": \"des\", \"ts\": {:.3}, \"dur\": {:.3}, \
-                 \"args\": {{\"events\": {}}}}}",
+            let args = [("events", s.events)];
+            w.complete(
+                1,
                 tid,
-                i,
-                us(s.start_ns),
-                us(dur),
-                s.events
-            ));
+                &format!("w{i}"),
+                "des",
+                s.start_ns..s.start_ns + dur,
+                &args,
+            );
         }
     }
-    format!("{{\"traceEvents\": [{}]}}", events.join(", "))
+    w.finish()
 }
 
 #[cfg(test)]

@@ -6,26 +6,51 @@
 //! [Perfetto](https://ui.perfetto.dev) (open the UI, drag the file in).
 
 use crate::names;
+use crate::perfetto::TraceWriter;
 use crate::registry::{Registry, Snapshot};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// Escape `s` as the body of a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Escape `s` as the body of a JSON string literal; the workspace's one
+/// JSON string escaper for hand-written documents. `"` and `\`
+/// take a backslash, newline/CR/tab their short forms, every other
+/// character below U+0020 a `\u00XX` escape; the rest passes through.
+///
+/// The result is [`fmt::Display`], so `write!`/`format!` escape straight
+/// into their output buffer; `esc(s).to_string()` gives an owned copy.
+pub fn esc(s: &str) -> Esc<'_> {
+    Esc(s)
+}
+
+/// A string rendered as the body of a JSON string literal; see [`esc`].
+#[derive(Clone, Copy, Debug)]
+pub struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let mut clean = 0;
+        // Every byte that needs escaping is ASCII, so each one is a
+        // whole char and the slices below stay on char boundaries.
+        for (i, b) in s.bytes().enumerate() {
+            let short = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&s[clean..i])?;
+            if short.is_empty() {
+                write!(f, "\\u{b:04x}")?;
+            } else {
+                f.write_str(short)?;
             }
-            c => out.push(c),
+            clean = i + 1;
         }
+        f.write_str(&s[clean..])
     }
-    out
 }
 
 /// Render an `f64` as a JSON number (finite values only; callers pass
@@ -219,7 +244,7 @@ pub fn metrics_json(reg: &Registry) -> String {
     out
 }
 
-/// Chrome trace-event JSON (the `traceEvents` object form): one complete
+/// Chrome trace-event JSON (see [`crate::perfetto`]): one complete
 /// (`"ph": "X"`) event per span plus thread-name metadata, timestamps in
 /// microseconds since the registry epoch. Counters render as Perfetto
 /// counter tracks (`"ph": "C"`): with no live time series available,
@@ -235,59 +260,21 @@ pub fn chrome_trace(reg: &Registry) -> String {
 /// falls back to two-point ramps from the final snapshot.
 pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u64)>)]) -> String {
     let snap = reg.snapshot();
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
+    let mut w = TraceWriter::default();
     // Perfetto groups tracks by process; without a process_name metadata
     // event the UI shows a bare "pid 1" header. Emit it whenever the
     // trace has any content at all (an empty registry stays empty).
     if !snap.threads.is_empty() || !snap.spans.is_empty() {
-        out.push_str(
-            "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-             \"args\": {\"name\": \"pioeval\"}}",
-        );
-        first = false;
+        w.process_name(1, "pioeval");
     }
     for (tid, name) in snap.threads.iter().enumerate() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            esc(name)
-        );
+        w.thread_name(1, tid as u32, name);
     }
     for ev in &snap.spans {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \"cat\": \"{}\", \
-             \"ts\": {}, \"dur\": {}, \"args\": {{\"depth\": {}}}}}",
-            ev.tid,
-            esc(&ev.name),
-            esc(&ev.cat),
-            num(ev.start_ns as f64 / 1e3),
-            num(ev.dur_ns as f64 / 1e3),
-            ev.depth
-        );
+        let end = ev.start_ns.saturating_add(ev.dur_ns);
+        let depth = [("depth", u64::from(ev.depth))];
+        w.complete(1, ev.tid, &ev.name, &ev.cat, ev.start_ns..end, &depth);
     }
-    let counter_event = |out: &mut String, first: &mut bool, name: &str, ts_us: u64, v: u64| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"C\", \"pid\": 1, \"tid\": 0, \"name\": \"{}\", \
-             \"ts\": {ts_us}, \"args\": {{\"value\": {v}}}}}",
-            esc(name)
-        );
-    };
     if series.is_empty() {
         // Post-mortem fallback: a flat-to-final ramp per nonzero counter
         // spanning the outermost recorded interval.
@@ -299,18 +286,17 @@ pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u
             .unwrap_or(0)
             / 1_000;
         for (name, v) in snap.counters.iter().filter(|(_, v)| *v > 0) {
-            counter_event(&mut out, &mut first, name, 0, 0);
-            counter_event(&mut out, &mut first, name, end_us.max(1), *v);
+            w.counter(1, name, 0, 0);
+            w.counter(1, name, end_us.max(1), *v);
         }
     } else {
         for (name, points) in series {
             for &(ts_us, v) in points {
-                counter_event(&mut out, &mut first, name, ts_us, v);
+                w.counter(1, name, ts_us, v);
             }
         }
     }
-    out.push_str("\n]}");
-    out
+    w.finish()
 }
 
 /// Human-readable metrics table.
@@ -377,6 +363,7 @@ pub fn human_summary(reg: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde_json::Value;
 
     fn as_u64(v: &Value) -> u64 {
@@ -608,6 +595,30 @@ mod tests {
             line.contains(&format!("obj put {} B / get {} B", 1 << 20, 1 << 19)),
             "{line}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the input, the escaped body reads back as the input.
+        #[test]
+        fn escaped_strings_parse_back_unchanged(
+            chars in prop::collection::vec(
+                prop::sample::select(
+                    (0u8..0x80)
+                        .map(char::from)
+                        .chain(['"', '\\', 'é', '€', '\u{2028}', '\u{ffff}', '😀'])
+                        .collect::<Vec<char>>(),
+                ),
+                0..48,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let doc = format!("\"{}\"", esc(&s));
+            prop_assert!(!doc.bytes().any(|b| b < 0x20), "raw control byte in {doc:?}");
+            let back = serde_json::parse(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(back, Value::Str(s));
+        }
     }
 
     #[test]

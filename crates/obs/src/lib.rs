@@ -34,6 +34,10 @@
 //! * Spans — named wall-clock intervals with parent/child nesting,
 //!   recorded per thread and exported as Chrome trace events
 //!   (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)-loadable).
+//! * [`perfetto::TraceWriter`] — the one Chrome trace-event writer; the
+//!   span trace here, `pioeval requests --chrome` and `pioeval profile
+//!   --chrome` are all built on it, and every hand-written JSON document
+//!   in the workspace escapes its strings with [`export::esc`].
 //! * [`LiveExporter`] — a sampler thread streaming delta-encoded JSONL
 //!   frames to a tailable file or TCP clients while the run is going
 //!   (see [`mod@live`]), without ever locking a hot path.
@@ -51,13 +55,14 @@
 //! let json = obs::export::metrics_json(obs::global());
 //! assert!(json.contains("demo.widgets"));
 //! let trace = obs::export::chrome_trace(obs::global());
-//! assert!(trace.contains("traceEvents"));
+//! assert!(trace.contains("demo.outer"));
 //! ```
 
 pub mod export;
 pub mod live;
 pub mod metrics;
 pub mod names;
+pub mod perfetto;
 pub mod registry;
 pub mod span;
 

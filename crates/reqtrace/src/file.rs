@@ -6,22 +6,13 @@
 //! Chrome trace comes from `--trace-out` instead.
 
 use crate::assemble::{Bucket, RequestRecord, Span};
+use pioeval_obs::export::esc;
+use pioeval_obs::perfetto::TraceWriter;
 use pioeval_types::{ReqOp, SimTime, NO_COLLECTIVE};
+use std::fmt::Write as _;
 
 /// Format tag carried by the JSONL header line.
 pub const FORMAT: &str = "pioeval-reqtrace/1";
-
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 /// Render the JSONL trace file: one header line
 /// (`{"format":"pioeval-reqtrace/1",...}`) followed by one line per
@@ -61,15 +52,15 @@ pub fn write_jsonl(requests: &[RequestRecord], incomplete: usize) -> String {
             if i > 0 {
                 out.push(',');
             }
-            let mut label = String::new();
-            esc(&s.label, &mut label);
-            out.push_str(&format!(
-                "{{\"entity\":{},\"label\":\"{label}\",\"bucket\":\"{}\",\"start_ns\":{},\"end_ns\":{}}}",
+            let _ = write!(
+                out,
+                "{{\"entity\":{},\"label\":\"{}\",\"bucket\":\"{}\",\"start_ns\":{},\"end_ns\":{}}}",
                 s.entity,
+                esc(&s.label),
                 s.bucket.name(),
                 s.start.as_nanos(),
                 s.end.as_nanos(),
-            ));
+            );
         }
         out.push_str("]}\n");
     }
@@ -152,31 +143,20 @@ pub fn read_jsonl(text: &str) -> Result<(Vec<RequestRecord>, usize), String> {
 /// whole `[issue, done]` interval. Timestamps are simulated
 /// microseconds.
 pub fn chrome_trace(requests: &[RequestRecord]) -> String {
-    let us = |t: SimTime| t.as_nanos() as f64 / 1000.0;
-    let mut events: Vec<String> = Vec::new();
+    let ns = |a: SimTime, b: SimTime| a.as_nanos()..b.as_nanos();
+    let mut w = TraceWriter::default();
     // Metadata events first, so Perfetto names the two process groups
     // and every track inside them instead of showing bare pid/tid
     // numbers. Ranks live under pid 1, server/gateway entities under
     // pid 2 (named by the label attributed spans carry).
     if !requests.is_empty() {
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"ranks\"}}"
-                .to_string(),
-        );
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"servers\"}}"
-                .to_string(),
-        );
+        w.process_name(1, "ranks");
+        w.process_name(2, "servers");
         let mut ranks: Vec<u32> = requests.iter().map(|r| r.rank).collect();
         ranks.sort_unstable();
         ranks.dedup();
         for rank in ranks {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{rank},\
-                 \"args\":{{\"name\":\"rank {rank}\"}}}}"
-            ));
+            w.thread_name(1, rank, &format!("rank {rank}"));
         }
         let mut entities: Vec<(u32, &str)> = requests
             .iter()
@@ -187,44 +167,30 @@ pub fn chrome_trace(requests: &[RequestRecord]) -> String {
         entities.sort_unstable();
         entities.dedup_by_key(|(e, _)| *e);
         for (entity, label) in entities {
-            let mut name = String::new();
-            esc(label, &mut name);
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{entity},\
-                 \"args\":{{\"name\":\"{name} ({entity})\"}}}}"
-            ));
+            w.thread_name(2, entity, &format!("{label} ({entity})"));
         }
     }
     for r in requests {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{},\"dur\":{},\"args\":{{\"tid\":{},\"bytes\":{}}}}}",
-            r.op.name(),
-            r.rank,
-            us(r.issue),
-            us(r.done) - us(r.issue),
-            r.tid,
-            r.bytes,
-        ));
+        let op = r.op.name();
+        let args = [("tid", r.tid), ("bytes", r.bytes)];
+        w.complete(1, r.rank, op, "request", ns(r.issue, r.done), &args);
         for s in &r.spans {
             if s.entity == crate::assemble::WIRE_ENTITY {
                 continue;
             }
-            let mut label = String::new();
-            esc(&s.label, &mut label);
-            events.push(format!(
-                "{{\"name\":\"{label} {}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":2,\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"tid\":{}}}}}",
-                r.op.name(),
-                s.bucket.name(),
+            let name = format!("{} {op}", s.label);
+            let cat = s.bucket.name();
+            w.complete(
+                2,
                 s.entity,
-                us(s.start),
-                us(s.end) - us(s.start),
-                r.tid,
-            ));
+                &name,
+                cat,
+                ns(s.start, s.end),
+                &[("tid", r.tid)],
+            );
         }
     }
-    format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
+    w.finish()
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 //! engine, so `pioeval-des` (the producer) and `pioeval-monitor` (the
 //! attribution analyzer) both speak it without a dependency cycle.
 
+use pioeval_obs::export::esc;
 use std::time::Instant;
 
 /// Number of profiled phases (the length of every `phase_ns` array).
@@ -197,9 +198,9 @@ impl ExecProfile {
              \"inline_events\": {}, \"inline_ns\": {}, \"workers\": [",
             Self::SCHEMA,
             self.threads,
-            self.backend,
-            self.window_policy,
-            self.partitioner,
+            esc(&self.backend),
+            esc(&self.window_policy),
+            esc(&self.partitioner),
             self.lookahead_ns,
             self.wall_ns,
             self.windows,
@@ -248,6 +249,97 @@ impl ExecProfile {
         }
         out.push_str("]}");
         out
+    }
+
+    /// Parse a document written by [`ExecProfile::to_json`]. Fields added
+    /// within schema 1 (`inline_events`, `inline_ns`) read as 0 when
+    /// absent, and a `limiter` of `-1` reads as [`NO_LIMITER`].
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        use serde_json::Value;
+        let doc = serde_json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        let u64_of = |v: &Value, key: &str| -> Result<u64, String> {
+            match v.get(key) {
+                Some(Value::U64(u)) => Ok(*u),
+                Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
+                Some(Value::F64(f)) if *f >= 0.0 => Ok(*f as u64),
+                _ => Err(format!("field \"{key}\": expected an unsigned integer")),
+            }
+        };
+        let str_of = |v: &Value, key: &str| -> Result<String, String> {
+            match v.get(key) {
+                Some(Value::Str(s)) => Ok(s.clone()),
+                other => Err(format!("field \"{key}\": expected a string, got {other:?}")),
+            }
+        };
+        let opt_u64_of = |v: &Value, key: &str| match v.get(key) {
+            None => Ok(0),
+            Some(_) => u64_of(v, key),
+        };
+        let phases_of = |v: &Value| -> Result<[u64; PROF_PHASES], String> {
+            let mut out = [0u64; PROF_PHASES];
+            for p in ProfPhase::ALL {
+                out[p.index()] = u64_of(v, &format!("{}_ns", p.name()))?;
+            }
+            Ok(out)
+        };
+        let schema = str_of(&doc, "schema")?;
+        if schema != Self::SCHEMA {
+            return Err(format!(
+                "unsupported profile schema {schema:?} (want {:?})",
+                Self::SCHEMA
+            ));
+        }
+        let mut workers = Vec::new();
+        if let Some(Value::Seq(items)) = doc.get("workers") {
+            for w in items {
+                let mut samples = Vec::new();
+                if let Some(Value::Seq(ss)) = w.get("samples") {
+                    for s in ss {
+                        let limiter = match s.get("limiter") {
+                            Some(Value::I64(i)) if *i < 0 => NO_LIMITER,
+                            Some(_) => u64_of(s, "limiter")
+                                .map_err(|_| "field \"limiter\": expected an integer")?
+                                as u32,
+                            None => NO_LIMITER,
+                        };
+                        samples.push(WindowSample {
+                            start_ns: u64_of(s, "start_ns")?,
+                            phase_ns: phases_of(s)?,
+                            events: u64_of(s, "events")?,
+                            limiter,
+                        });
+                    }
+                }
+                workers.push(WorkerProfile {
+                    worker: u64_of(w, "worker")? as u32,
+                    entities: u64_of(w, "entities")?,
+                    events: u64_of(w, "events")?,
+                    windows: u64_of(w, "windows")?,
+                    null_windows: u64_of(w, "null_windows")?,
+                    span_ns: u64_of(w, "span_ns")?,
+                    phase_ns: phases_of(w)?,
+                    samples,
+                    dropped_samples: u64_of(w, "dropped_samples")?,
+                });
+            }
+        }
+        if workers.is_empty() {
+            return Err("profile has no workers".to_string());
+        }
+        Ok(ExecProfile {
+            threads: u64_of(&doc, "threads")? as u32,
+            backend: str_of(&doc, "backend")?,
+            window_policy: str_of(&doc, "window_policy")?,
+            partitioner: str_of(&doc, "partitioner")?,
+            lookahead_ns: u64_of(&doc, "lookahead_ns")?,
+            wall_ns: u64_of(&doc, "wall_ns")?,
+            windows: u64_of(&doc, "windows")?,
+            workers,
+            // Added within schema 1: documents written before the threaded
+            // executor could hand off to the sequential loop read as 0.
+            inline_events: opt_u64_of(&doc, "inline_events")?,
+            inline_ns: opt_u64_of(&doc, "inline_ns")?,
+        })
     }
 }
 
@@ -438,6 +530,49 @@ mod tests {
             ..ExecProfile::default()
         };
         assert!(prof.to_json().contains("\"limiter\": -1"));
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        let sample = |start_ns, limiter| WindowSample {
+            start_ns,
+            phase_ns: [5, 1, 2, 3],
+            events: 4,
+            limiter,
+        };
+        let prof = ExecProfile {
+            threads: 2,
+            backend: "thr\"ea\\ds".into(),
+            window_policy: "adap\ttive\"".into(),
+            partitioner: "\\block\u{1}".into(),
+            lookahead_ns: 1000,
+            wall_ns: 22,
+            windows: 2,
+            workers: vec![WorkerProfile {
+                worker: 1,
+                entities: 3,
+                events: 8,
+                windows: 2,
+                null_windows: 0,
+                span_ns: 22,
+                phase_ns: [10, 2, 4, 6],
+                samples: vec![sample(0, NO_LIMITER), sample(11, 0)],
+                dropped_samples: 0,
+            }],
+            inline_events: 97,
+            inline_ns: 400,
+        };
+        let text = prof.to_json();
+        assert!(text.contains("\"limiter\": -1"), "{text}");
+        assert_eq!(ExecProfile::from_json(&text), Ok(prof.clone()));
+        // Documents written before the sequential hand-off existed.
+        let old = text.replace("\"inline_events\": 97, \"inline_ns\": 400, ", "");
+        assert_ne!(old, text);
+        let back = ExecProfile::from_json(&old).unwrap();
+        assert_eq!((back.inline_events, back.inline_ns), (0, 0));
+        assert_eq!(back.workers, prof.workers);
+        let err = ExecProfile::from_json(&text.replace("profile/1", "profile/9"));
+        assert!(err.unwrap_err().contains("unsupported profile schema"));
     }
 
     #[test]

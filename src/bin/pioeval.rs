@@ -19,6 +19,7 @@ use pioeval::core::{InterferenceCampaign, TargetConfig};
 use pioeval::lint::{lint_config, lint_dag, lint_dsl_source, lint_objstore_config, LintReport};
 use pioeval::monitor::SystemAnalysis;
 use pioeval::objstore::ObjStoreConfig;
+use pioeval::obs::export::esc;
 use pioeval::prelude::*;
 use pioeval::types::SimTime;
 use pioeval::workloads::parse_program;
@@ -1909,7 +1910,7 @@ impl WatchState {
             s,
             ", \"run\": \"{}\", \"frames\": {}, \"malformed\": {}, \
              \"done\": {}, \"spans_done\": {}",
-            self.run.replace('"', "\\\""),
+            esc(&self.run),
             self.frames,
             self.malformed,
             self.done,
@@ -1917,14 +1918,15 @@ impl WatchState {
         );
         s.push_str(", \"counters\": {");
         for (i, (n, v)) in self.counters.iter().enumerate() {
-            let _ = write!(s, "{}\"{n}\": {v}", if i > 0 { ", " } else { "" });
+            let _ = write!(s, "{}\"{}\": {v}", if i > 0 { ", " } else { "" }, esc(n));
         }
         s.push_str("}, \"gauges\": {");
         for (i, (n, (last, max))) in self.gauges.iter().enumerate() {
             let _ = write!(
                 s,
-                "{}\"{n}\": {{\"last\": {last}, \"max\": {max}}}",
-                if i > 0 { ", " } else { "" }
+                "{}\"{}\": {{\"last\": {last}, \"max\": {max}}}",
+                if i > 0 { ", " } else { "" },
+                esc(n)
             );
         }
         s.push_str("}}");
@@ -2389,112 +2391,6 @@ fn cmd_requests(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a `pioeval-profile/1` document (as written by `--profile-out`)
-/// back into the in-memory [`pioeval::types::ExecProfile`].
-fn parse_profile(doc: &serde_json::Value) -> Result<pioeval::types::ExecProfile, String> {
-    use pioeval::types::{ExecProfile, ProfPhase, WindowSample, WorkerProfile, NO_LIMITER};
-    let str_of = |v: &serde_json::Value, key: &str| -> Result<String, String> {
-        match v.get(key) {
-            Some(serde_json::Value::Str(s)) => Ok(s.clone()),
-            other => Err(format!("field \"{key}\": expected a string, got {other:?}")),
-        }
-    };
-    let u64_of = |v: &serde_json::Value, key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(json_u64)
-            .ok_or_else(|| format!("field \"{key}\": expected an unsigned integer"))
-    };
-    let opt_u64_of = |v: &serde_json::Value, key: &str| -> Result<u64, String> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(_) => u64_of(v, key),
-        }
-    };
-    let phases_of = |v: &serde_json::Value| -> Result<[u64; pioeval::types::PROF_PHASES], String> {
-        let mut out = [0u64; pioeval::types::PROF_PHASES];
-        for p in ProfPhase::ALL {
-            out[p.index()] = u64_of(v, &format!("{}_ns", p.name()))?;
-        }
-        Ok(out)
-    };
-    let schema = str_of(doc, "schema")?;
-    if schema != ExecProfile::SCHEMA {
-        return Err(format!(
-            "unsupported profile schema {schema:?} (want {:?})",
-            ExecProfile::SCHEMA
-        ));
-    }
-    let mut workers = Vec::new();
-    if let Some(serde_json::Value::Seq(items)) = doc.get("workers") {
-        for w in items {
-            let mut samples = Vec::new();
-            if let Some(serde_json::Value::Seq(ss)) = w.get("samples") {
-                for s in ss {
-                    let limiter = match s.get("limiter") {
-                        Some(serde_json::Value::I64(i)) if *i < 0 => NO_LIMITER,
-                        Some(v) => json_u64(v)
-                            .ok_or_else(|| "field \"limiter\": expected an integer".to_string())?
-                            as u32,
-                        None => NO_LIMITER,
-                    };
-                    samples.push(WindowSample {
-                        start_ns: u64_of(s, "start_ns")?,
-                        phase_ns: phases_of(s)?,
-                        events: u64_of(s, "events")?,
-                        limiter,
-                    });
-                }
-            }
-            workers.push(WorkerProfile {
-                worker: u64_of(w, "worker")? as u32,
-                entities: u64_of(w, "entities")?,
-                events: u64_of(w, "events")?,
-                windows: u64_of(w, "windows")?,
-                null_windows: u64_of(w, "null_windows")?,
-                span_ns: u64_of(w, "span_ns")?,
-                phase_ns: phases_of(w)?,
-                samples,
-                dropped_samples: u64_of(w, "dropped_samples")?,
-            });
-        }
-    }
-    if workers.is_empty() {
-        return Err("profile has no workers".to_string());
-    }
-    Ok(ExecProfile {
-        threads: u64_of(doc, "threads")? as u32,
-        backend: str_of(doc, "backend")?,
-        window_policy: str_of(doc, "window_policy")?,
-        partitioner: str_of(doc, "partitioner")?,
-        lookahead_ns: u64_of(doc, "lookahead_ns")?,
-        wall_ns: u64_of(doc, "wall_ns")?,
-        windows: u64_of(doc, "windows")?,
-        workers,
-        // Added within schema 1: documents written before the threaded
-        // executor could hand off to the sequential loop read as 0.
-        inline_events: opt_u64_of(doc, "inline_events")?,
-        inline_ns: opt_u64_of(doc, "inline_ns")?,
-    })
-}
-
-/// Escape `s` as the body of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `pioeval profile --json` attribution document (hand-rolled like
 /// every other machine surface in this binary).
 fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAnalysis) -> String {
@@ -2511,9 +2407,9 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
          \"inline_ns\": {}, \"inline_share\": {:.6}",
         pioeval::types::ExecProfile::SCHEMA,
         a.threads,
-        json_escape(&p.backend),
-        json_escape(&p.window_policy),
-        json_escape(&p.partitioner),
+        esc(&p.backend),
+        esc(&p.window_policy),
+        esc(&p.partitioner),
         a.wall_ns,
         a.windows,
         a.total_compute_ns,
@@ -2535,9 +2431,9 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
             s,
             "{}{{\"name\": \"{}\", \"share\": {:.6}, \"detail\": \"{}\"}}",
             if i > 0 { ", " } else { "" },
-            json_escape(&c.name),
+            esc(&c.name),
             c.share,
-            json_escape(&c.detail)
+            esc(&c.detail)
         );
     }
     s.push_str("], \"critical\": [");
@@ -2688,8 +2584,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     let json_out = flags.contains_key("json");
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = serde_json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let prof = parse_profile(&doc).map_err(|e| format!("{path}: {e}"))?;
+    let prof = pioeval::types::ExecProfile::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     if !prof.conserves() {
         return Err(format!(
             "{path}: phase durations do not tile the worker spans — \
@@ -3022,6 +2917,24 @@ mod tests {
     }
 
     #[test]
+    fn watch_json_escapes_names_from_the_stream() {
+        let mut st = WatchState::default();
+        let frame = "{\"schema\":\"pioeval-live/1\",\"run\":\"r\\\\1\",\"seq\":0,\"t_us\":1,\
+             \"kind\":\"delta\",\"phase\":\"a\",\"open_spans\":0,\
+             \"counters\":{\"c\\\"q\":3},\"gauges\":{\"g\\u0001\":{\"last\":1,\"max\":2}}}";
+        st.apply(&serde_json::parse(frame).unwrap()).unwrap();
+        let doc = serde_json::parse(&st.to_json()).expect("watch JSON must parse");
+        assert_eq!(doc.get("run"), Some(&serde_json::Value::Str("r\\1".into())));
+        assert_eq!(
+            doc.get("counters")
+                .and_then(|c| c.get("c\"q"))
+                .and_then(json_u64),
+            Some(3)
+        );
+        assert!(doc.get("gauges").and_then(|g| g.get("g\u{1}")).is_some());
+    }
+
+    #[test]
     fn file_tail_yields_only_complete_lines() {
         use std::io::Write as _;
         let path = std::env::temp_dir().join(format!("pioeval_tail_{}.jsonl", std::process::id()));
@@ -3152,6 +3065,9 @@ mod tests {
 
     #[test]
     fn profile_reader_round_trips_and_defaults_inline_fields() {
+        // The schema itself is pinned in pioeval-types; this checks that
+        // `pioeval profile` reads a written file, and a document from
+        // before the hand-off existed, end to end.
         use pioeval::types::{ExecProfile, PhaseRecorder, ProfPhase};
         let mut rec = PhaseRecorder::start(0);
         rec.mark(ProfPhase::Compute);
@@ -3169,12 +3085,22 @@ mod tests {
             inline_ns: 400,
         };
         let text = prof.to_json();
-        assert_eq!(parse_profile(&serde_json::parse(&text).unwrap()), Ok(prof));
+        assert_eq!(ExecProfile::from_json(&text), Ok(prof));
         // A document written before the hand-off existed reads as 0.
         let old = text.replace("\"inline_events\": 97, \"inline_ns\": 400, ", "");
         assert_ne!(old, text);
-        let back = parse_profile(&serde_json::parse(&old).unwrap()).unwrap();
+        let back = ExecProfile::from_json(&old).unwrap();
         assert_eq!((back.inline_events, back.inline_ns), (0, 0));
+        for (tag, doc) in [("new", &text), ("old", &old)] {
+            let path = std::env::temp_dir().join(format!(
+                "pioeval_profile_cli_{}_{tag}.json",
+                std::process::id()
+            ));
+            std::fs::write(&path, doc).unwrap();
+            let res = cmd_profile(&strs(&[path.to_str().unwrap(), "--json"]));
+            let _ = std::fs::remove_file(&path);
+            assert!(res.is_ok(), "{tag}: {res:?}");
+        }
     }
 
     #[test]
