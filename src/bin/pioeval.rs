@@ -153,22 +153,29 @@ WATCH OPTIONS (pioeval watch <FILE|host:port>):
 
 BENCH OPTIONS:
   --threads <N>        worker count for the parallel rows      [default: 2]
-  --repeat <K>         runs per bench, report the median       [default: 1]
+  --repeat <N>         rounds: each runs every row once, odd rounds in
+                       reverse order; rows report their median, and
+                       every check is judged over the N per-round
+                       pairs (5..=100)                        [default: 10]
   --backend <B>        parallel backend: auto | threads | coop [default: auto]
-  --baseline <FILE>    regression gate: compare events/sec against FILE,
-                       normalized by each side's phold_seq row so the gate
-                       tracks engine overhead rather than host speed
+  --baseline <FILE>    regression gate: compare each row's events/sec
+                       over its round's phold_seq against the same ratio
+                       in FILE, so the gate tracks engine overhead
+                       rather than host speed
   --tolerance <PCT>    gate failure threshold                  [default: 15]
   --out <FILE>         result file    [default: results/BENCH_obs.json]
   --timestamp <TS>     timestamp recorded in the history line  [default:
                        unix seconds]
   --history <FILE>     append {rev, timestamp, benches} to this JSONL
                        archive     [default: results/BENCH_history.jsonl]
-  --seed <N>           workload + failure-schedule seed for the
-                       pipeline rows (PHOLD rows are seed-independent;
-                       keep the default when gating)      [default: 42]
   --profile-out <FILE> write the profiled PHOLD row's merged
                        pioeval-profile/1 JSON document to FILE
+
+  Checks: the request-trace and profiler rows against their untraced
+  twin (5% budget) and, with --baseline, every row (--tolerance). A
+  check fails only if its median per-pair overhead exceeds the budget
+  AND at least k of the N pairs do, k being the smallest count a fair
+  coin reaches with probability <= 5% (5 of 5, 9 of 10).
 
 COMPARE OPTIONS (pioeval compare):
   --last <N>           trend window: the N most recent runs    [default: 8]
@@ -1224,33 +1231,6 @@ fn run_campaign(
     emit_telemetry(opts)
 }
 
-/// One bench row: name, event count, median wall-clock ms, events/sec.
-type BenchRow = (String, u64, f64, f64);
-
-/// Run `body` `repeat` times and return (events, median wall). Event
-/// counts must agree across repeats — the engine is deterministic, so a
-/// mismatch is a bug worth failing loudly on.
-fn bench_median(
-    repeat: usize,
-    mut body: impl FnMut() -> Result<u64, String>,
-) -> Result<(u64, std::time::Duration), String> {
-    let mut walls = Vec::with_capacity(repeat);
-    let mut events = None;
-    for _ in 0..repeat {
-        let t0 = std::time::Instant::now();
-        let n = body()?;
-        walls.push(t0.elapsed());
-        if let Some(prev) = events {
-            if prev != n {
-                return Err(format!("nondeterministic bench: {prev} vs {n} events"));
-            }
-        }
-        events = Some(n);
-    }
-    walls.sort();
-    Ok((events.unwrap_or(0), walls[walls.len() / 2]))
-}
-
 /// Numeric JSON value as f64 (the shimmed parser splits number kinds).
 fn json_f64(v: &serde_json::Value) -> Option<f64> {
     match v {
@@ -1271,13 +1251,113 @@ fn json_u64(v: &serde_json::Value) -> Option<u64> {
     }
 }
 
-/// Regression gate: compare this run's events/sec against a committed
-/// baseline file. Both sides are normalized by their own `phold_seq`
-/// row, so the comparison tracks *engine overhead relative to the
-/// sequential executor* and survives hosts of different absolute speed
-/// (CI runners vs. the machine that committed the baseline). Rows
-/// missing from the baseline are reported but never fail the gate.
-fn bench_gate(rows: &[BenchRow], baseline_path: &str, tolerance_pct: f64) -> Result<(), String> {
+/// Budget of the in-run request-trace and phase-profiler checks: each
+/// recorder may cost at most this share of its untraced twin's
+/// events/sec.
+const RECORDER_BUDGET_PCT: f64 = 5.0;
+
+/// One timed bench row: name plus the body that runs it once and
+/// returns its event count.
+type BenchBody<'a> = (String, Box<dyn FnMut() -> Result<u64, String> + 'a>);
+
+/// Run every row once per round, in order on even rounds and reversed
+/// on odd ones (ABBA), so slow drift in host speed lands on both sides
+/// of every pair. Returns each row's event count and per-round wall
+/// seconds. Event counts must agree across rounds — the engine is
+/// deterministic, so a mismatch is a bug worth failing loudly on.
+fn run_rounds(rows: &mut [BenchBody<'_>], rounds: usize) -> Result<Vec<(u64, Vec<f64>)>, String> {
+    let mut out: Vec<(Option<u64>, Vec<f64>)> =
+        vec![(None, Vec::with_capacity(rounds)); rows.len()];
+    for round in 0..rounds {
+        for i in 0..rows.len() {
+            let i = if round % 2 == 0 {
+                i
+            } else {
+                rows.len() - 1 - i
+            };
+            let t0 = std::time::Instant::now();
+            let events = (rows[i].1)()?;
+            out[i].1.push(t0.elapsed().as_secs_f64().max(1e-9));
+            match out[i].0 {
+                Some(prev) if prev != events => {
+                    return Err(format!(
+                        "nondeterministic bench {}: {prev} vs {events} events",
+                        rows[i].0
+                    ))
+                }
+                _ => out[i].0 = Some(events),
+            }
+        }
+    }
+    Ok(out.into_iter().map(|(e, w)| (e.unwrap_or(0), w)).collect())
+}
+
+/// Smallest k such that a fair coin shows at least k heads in n tosses
+/// with probability ≤ 5% — the one-sided sign test at α = 0.05: 5 of 5,
+/// 9 of 10. Returns n + 1 when no k qualifies (n < 5). Exact (integer
+/// binomial tail) for n ≤ 100.
+fn sign_test_min(n: usize) -> usize {
+    // P(X ≥ k) = Σ_{j≥k} C(n, j) / 2^n ≤ 1/20  ⇔  20 · tail ≤ 2^n.
+    let (mut k, mut binom, mut tail) = (n + 1, 1u128, 0u128);
+    for j in (0..=n).rev() {
+        tail += binom;
+        if 20 * tail > 1u128 << n {
+            break;
+        }
+        k = j;
+        binom = binom * j as u128 / (n - j + 1) as u128; // C(n, j - 1)
+    }
+    k
+}
+
+/// Verdict of one [`paired_check`].
+#[derive(Debug)]
+struct PairedVerdict {
+    /// Median per-pair overhead, percent (positive: candidate slower).
+    median_pct: f64,
+    /// Interquartile range of the per-pair overheads, percentage points.
+    iqr_pct: f64,
+    /// Pairs whose overhead exceeds the budget.
+    over: usize,
+    /// Pairs that must exceed it for the check to fail.
+    needed: usize,
+    fail: bool,
+}
+
+/// The bench's one comparison primitive. Each entry of `ratios` is one
+/// round's candidate/reference throughput; its overhead is `1 − ratio`.
+/// The check fails only when the median overhead exceeds `budget_pct`
+/// *and* at least [`sign_test_min`] of the pairs do, so noise that moves
+/// pairs both ways cannot fail it and a single outlier pair cannot
+/// either, while a steady slowdown beyond the budget fails every time.
+/// A pair exactly at the budget does not exceed it. Quantiles are the
+/// workspace's nearest-rank [`pioeval::types::percentile`].
+fn paired_check(ratios: &[f64], budget_pct: f64) -> PairedVerdict {
+    let floor = 1.0 - budget_pct / 100.0;
+    let q = |p| pioeval::types::percentile(ratios, p);
+    let over = ratios.iter().filter(|&&r| r < floor).count();
+    let (median, needed) = (q(50.0), sign_test_min(ratios.len()));
+    PairedVerdict {
+        median_pct: (1.0 - median) * 100.0,
+        iqr_pct: (q(75.0) - q(25.0)) * 100.0,
+        over,
+        needed,
+        fail: median < floor && over >= needed,
+    }
+}
+
+/// Baseline check inputs: for every row this run shares with the
+/// baseline file (except the normalizer), the per-round ratio of the
+/// row's events/sec to this round's `phold_seq`, over the same ratio in
+/// the baseline. Normalizing each side by its own `phold_seq` makes the
+/// comparison track engine overhead relative to the sequential executor,
+/// so it survives hosts of different absolute speed. Baseline rows this
+/// run does not produce are ignored; rows missing from the baseline are
+/// reported and skipped.
+fn baseline_ratios(
+    rows: &[(String, Vec<f64>)],
+    baseline_path: &str,
+) -> Result<Vec<(String, Vec<f64>)>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let doc =
@@ -1293,60 +1373,78 @@ fn bench_gate(rows: &[BenchRow], baseline_path: &str, tolerance_pct: f64) -> Res
             }
         }
     }
-    let eps_of =
-        |set: &[(String, f64)], name: &str| set.iter().find(|(n, _)| n == name).map(|&(_, e)| e);
-    let cur: Vec<(String, f64)> = rows.iter().map(|r| (r.0.clone(), r.3)).collect();
-    let (cur_seq, base_seq) = match (eps_of(&cur, "phold_seq"), eps_of(&base, "phold_seq")) {
-        (Some(c), Some(b)) if c > 0.0 && b > 0.0 => (c, b),
-        _ => {
-            return Err(format!(
-                "{baseline_path}: no usable phold_seq row to normalize by"
-            ))
-        }
+    let base_of = |name: &str| base.iter().find(|(n, _)| n == name).map(|&(_, e)| e);
+    let seq = rows.iter().find(|(n, _)| n == "phold_seq");
+    let (Some((_, seq)), Some(base_seq)) = (seq, base_of("phold_seq").filter(|&b| b > 0.0)) else {
+        return Err(format!(
+            "{baseline_path}: no usable phold_seq row to normalize by"
+        ));
     };
-    let host_scale = cur_seq / base_seq;
-    println!("\ngate: host speed scale {host_scale:.3} (phold_seq now/baseline)");
-    let mut failures = Vec::new();
-    for (name, eps) in &cur {
-        if name == "phold_seq" {
-            continue; // the normalizer itself
-        }
-        let Some(base_eps) = eps_of(&base, name) else {
-            println!("gate: {name:<22} not in baseline — skipped");
-            continue;
-        };
-        let expected = base_eps * host_scale;
-        let delta_pct = (eps / expected - 1.0) * 100.0;
-        let verdict = if delta_pct < -tolerance_pct {
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "gate: {name:<22} {eps:>12.0} ev/s vs expected {expected:>12.0} \
-             ({delta_pct:>+6.1}%) {verdict}"
-        );
-        if delta_pct < -tolerance_pct {
-            failures.push(format!("{name} regressed {:.1}%", -delta_pct));
+    let mut out = Vec::new();
+    for (name, eps) in rows.iter().filter(|(n, _)| n != "phold_seq") {
+        match base_of(name) {
+            Some(base_eps) if base_eps > 0.0 => {
+                let expected = base_eps / base_seq;
+                let ratios = eps.iter().zip(seq).map(|(e, s)| e / s / expected);
+                out.push((name.clone(), ratios.collect()));
+            }
+            _ => println!("gate: {name:<22} not in baseline — skipped"),
         }
     }
-    if failures.is_empty() {
-        println!("gate: pass (tolerance {tolerance_pct:.0}%)");
-        Ok(())
-    } else {
-        Err(format!(
-            "bench regression gate failed (> {tolerance_pct:.0}% below baseline): {}",
-            failures.join(", ")
-        ))
+    Ok(out)
+}
+
+/// One `pioeval-bench-history/1` JSONL line (newline included): the
+/// run's git revision, timestamp and engine configuration plus each
+/// row's median events/sec. Every string goes through [`esc`], so no
+/// `--timestamp` can write a line that later breaks `pioeval compare`.
+fn history_line(
+    rev: &str,
+    timestamp: &str,
+    threads: usize,
+    backend: &str,
+    window: &str,
+    rows: &[(String, f64)],
+) -> String {
+    use std::fmt::Write as _;
+    let mut line = format!(
+        "{{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"{}\", \
+         \"timestamp\": \"{}\", \"threads\": {threads}, \
+         \"backend\": \"{}\", \"window\": \"{}\", \"benches\": [",
+        esc(rev),
+        esc(timestamp),
+        esc(backend),
+        esc(window)
+    );
+    for (i, (name, eps)) in rows.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(
+            line,
+            "{sep}{{\"name\": \"{}\", \"events_per_sec\": {eps:.1}}}",
+            esc(name)
+        );
+    }
+    line.push_str("]}\n");
+    line
+}
+
+/// Create the directory `path` will be written into, if it has one.
+fn create_parent_dir(path: &str) -> Result<(), String> {
+    match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display())),
+        _ => Ok(()),
     }
 }
 
-/// Benchmark the framework itself: PHOLD on both DES executors (plus a
-/// profile-guided greedy-partition variant), an mdtest-style metadata
-/// storm, and an IOR-like trip through the full pipeline, reporting
-/// wall-clock and events/sec from the telemetry layer. Results land in
-/// a JSON file so successive commits can be compared; `--baseline`
-/// turns the comparison into a regression gate.
+/// Benchmark the engine itself: PHOLD on both DES executors (plus
+/// request-traced, phase-profiled, greedy-partitioned and sampler-on
+/// variants) and lint on a large generated program, run in `--repeat`
+/// interleaved rounds. Each row reports its median over the rounds;
+/// the recorder-overhead checks and the optional `--baseline` gate are
+/// all judged by [`paired_check`] over the per-round pairs. Results
+/// land in a JSON file and one history line so successive commits can
+/// be compared.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     if let Some(extra) = positional.first() {
@@ -1362,7 +1460,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "tolerance",
             "timestamp",
             "history",
-            "seed",
             "profile-out",
         ]
         .contains(&key.as_str())
@@ -1384,11 +1481,13 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
     };
     let threads = parse_n("threads", 2)?;
-    let repeat = parse_n("repeat", 1)?;
-    let seed: u64 = match flags.get("seed") {
-        None => 42,
-        Some(v) => v.parse().map_err(|_| format!("bad --seed: {v}"))?,
-    };
+    let rounds = parse_n("repeat", 10)?;
+    if sign_test_min(rounds) > rounds || rounds > 100 {
+        return Err(format!(
+            "bad --repeat: {rounds} (expected 5..=100 rounds; with fewer than 5 \
+             pairs no check can fail)"
+        ));
+    }
     let tolerance = match flags.get("tolerance") {
         None => 15.0,
         Some(v) => v
@@ -1420,62 +1519,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         horizon: pioeval::types::SimTime::from_millis(10),
         ..PholdConfig::default()
     };
-
-    let mut rows: Vec<BenchRow> = Vec::new();
-    let mut record = |name: String, events: u64, wall: std::time::Duration| {
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        let eps = events as f64 / wall.as_secs_f64().max(1e-9);
-        println!("{name:<22} {events:>10} events {wall_ms:>9.1} ms {eps:>12.0} events/s");
-        rows.push((name, events, wall_ms, eps));
-    };
-
-    let (events, wall) = bench_median(repeat, || Ok(build_phold(&phold).run().events))?;
-    record("phold_seq".into(), events, wall);
-
     let par_cfg = ParallelConfig {
         threads,
         backend,
         ..ParallelConfig::default()
     };
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        Ok(run_parallel(&mut sim, &par_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}"), events, wall);
-
-    // Tracing-overhead probe: the same parallel PHOLD run with the
-    // request-trace recorder enabled on every LP (one mark per event,
-    // non-zero tid). Its gap to phold_par_t{N} is the tracer's hot-path
-    // cost; the explicit <=5% check below and the baseline gate both
-    // keep it pinned.
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = pioeval::des::build_phold_traced(&phold);
-        Ok(run_parallel(&mut sim, &par_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}_reqtrace"), events, wall);
-
-    // Profiler-overhead probe: the same parallel PHOLD run with the
-    // per-worker phase recorder on. Its gap to phold_par_t{N} is the
-    // profiler's hot-path cost (two clock reads per window per worker);
-    // the explicit <=5% check below and the baseline gate both keep it
-    // pinned. The last repeat's merged profile is kept for --profile-out.
-    let mut bench_profile: Option<pioeval::types::ExecProfile> = None;
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        let (res, prof) = pioeval::des::run_parallel_profiled(&mut sim, &par_cfg);
-        bench_profile = prof;
-        Ok(res.events)
-    })?;
-    record(format!("phold_par_t{threads}_profiled"), events, wall);
-    if let Some(path) = flags.get("profile-out") {
-        let prof = bench_profile
-            .as_ref()
-            .ok_or("--profile-out needs --threads >= 2 (a single worker is not profiled)")?;
-        std::fs::write(path, prof.to_json())
-            .map_err(|e| format!("cannot write execution profile to {path}: {e}"))?;
-        println!("wrote execution profile to {path}");
-    }
-
     // Profile-guided variant: per-entity counts from an (untimed)
     // sequential warmup feed the greedy bin-packing partitioner.
     let (_, counts) = build_phold(&phold).run_counted();
@@ -1483,37 +1531,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         partitioner: pioeval::des::Partitioner::greedy_from_counts(&counts),
         ..par_cfg.clone()
     };
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        Ok(run_parallel(&mut sim, &greedy_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}_greedy"), events, wall);
-
-    // Sampler-on variant of the parallel row: the live exporter streams
-    // frames to a scratch file at the default interval while the same
-    // PHOLD run executes. Its gap to phold_par_t{N} is the observation
-    // overhead, and the gate keeps it bounded once a baseline records it.
-    let live_path =
-        std::env::temp_dir().join(format!("pioeval_bench_live_{}.jsonl", std::process::id()));
-    let (events, wall) = bench_median(repeat, || {
-        let exporter = pioeval::obs::LiveExporter::start(
-            pioeval::obs::global(),
-            pioeval::obs::LiveConfig {
-                interval: None,
-                file: Some(live_path.clone()),
-                addr: None,
-                run_id: "bench-live".to_string(),
-            },
-        )
-        .map_err(|e| format!("cannot start live exporter: {e}"))?;
-        let mut sim = build_phold(&phold);
-        let events = run_parallel(&mut sim, &par_cfg).events;
-        exporter.finish();
-        Ok(events)
-    })?;
-    let _ = std::fs::remove_file(&live_path);
-    record(format!("phold_par_t{threads}_live"), events, wall);
-
     // Lint wall-time on a generated large DSL program (~10k statements):
     // CFG lowering plus the abstract-interpretation passes end to end,
     // with repeat/barrier/onrank structure so every lowering path is on
@@ -1534,177 +1551,162 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         s
     };
     let lint_statements = lint_src.lines().count() as u64;
-    let (events, wall) = bench_median(repeat, || {
-        let report = lint_dsl_source(&lint_src);
-        if !report.is_clean() {
-            return Err("lint_cfg_large fixture no longer lints clean".to_string());
-        }
-        Ok(lint_statements)
-    })?;
-    record("lint_cfg_large".into(), events, wall);
+    let live_path =
+        std::env::temp_dir().join(format!("pioeval_bench_live_{}.jsonl", std::process::id()));
+    let plain = format!("phold_par_t{threads}");
+    let traced = format!("{plain}_reqtrace");
+    let profiled = format!("{plain}_profiled");
 
-    // Full-pipeline trips; the DES event count comes from the telemetry
-    // layer itself.
-    let des_events = pioeval::obs::global().counter(pioeval::obs::names::DES_EVENTS);
-    let pipeline_bench = |source: &WorkloadSource, ranks: u32| {
-        bench_median(repeat, || {
-            let cluster = ClusterConfig {
-                num_clients: 8,
-                ..ClusterConfig::default()
-            };
-            let before = des_events.get();
-            measure(&cluster, source, ranks, StackConfig::default(), seed)
-                .map_err(|e| e.to_string())?;
-            Ok(des_events.get() - before)
-        })
+    // The last round's merged profile is kept for --profile-out.
+    let mut bench_profile: Option<pioeval::types::ExecProfile> = None;
+    let measured = {
+        let mut rows: Vec<BenchBody<'_>> = vec![
+            (
+                "phold_seq".into(),
+                Box::new(|| Ok(build_phold(&phold).run().events)),
+            ),
+            (
+                plain.clone(),
+                Box::new(|| Ok(run_parallel(&mut build_phold(&phold), &par_cfg).events)),
+            ),
+            // Tracing-overhead probe: the request-trace recorder on every
+            // LP (a mark on every 64th event each LP handles).
+            (
+                traced.clone(),
+                Box::new(|| {
+                    let mut sim = pioeval::des::build_phold_traced(&phold);
+                    Ok(run_parallel(&mut sim, &par_cfg).events)
+                }),
+            ),
+            // Profiler-overhead probe: the per-worker phase recorder (two
+            // clock reads per window per worker).
+            (
+                profiled.clone(),
+                Box::new(|| {
+                    let mut sim = build_phold(&phold);
+                    let (res, prof) = pioeval::des::run_parallel_profiled(&mut sim, &par_cfg);
+                    bench_profile = prof;
+                    Ok(res.events)
+                }),
+            ),
+            (
+                format!("{plain}_greedy"),
+                Box::new(|| Ok(run_parallel(&mut build_phold(&phold), &greedy_cfg).events)),
+            ),
+            // Sampler-on variant: the live exporter streams frames to a
+            // scratch file at the default interval during the run.
+            (
+                format!("{plain}_live"),
+                Box::new(|| {
+                    let exporter = pioeval::obs::LiveExporter::start(
+                        pioeval::obs::global(),
+                        pioeval::obs::LiveConfig {
+                            interval: None,
+                            file: Some(live_path.clone()),
+                            addr: None,
+                            run_id: "bench-live".to_string(),
+                        },
+                    )
+                    .map_err(|e| format!("cannot start live exporter: {e}"))?;
+                    let events = run_parallel(&mut build_phold(&phold), &par_cfg).events;
+                    exporter.finish();
+                    Ok(events)
+                }),
+            ),
+            (
+                "lint_cfg_large".into(),
+                Box::new(|| {
+                    if !lint_dsl_source(&lint_src).is_clean() {
+                        return Err("lint_cfg_large fixture no longer lints clean".to_string());
+                    }
+                    Ok(lint_statements)
+                }),
+            ),
+        ];
+        let measured = run_rounds(&mut rows, rounds);
+        let _ = std::fs::remove_file(&live_path);
+        let names = rows.into_iter().map(|(name, _)| name);
+        names.zip(measured?).collect::<Vec<_>>()
     };
-
-    // Metadata storm: 8 ranks hammering the MDS with create/stat/unlink
-    // on thousands of tiny files (mdtest-style), the metadata-bound
-    // counterpart to the bandwidth-bound IOR row.
-    let storm = WorkloadSource::Synthetic(Box::new(MdtestLike {
-        files_per_rank: 256,
-        ..MdtestLike::default()
-    }));
-    let (events, wall) = pipeline_bench(&storm, 8)?;
-    record("mdtest_storm8".into(), events, wall);
-
-    let ior = WorkloadSource::Synthetic(Box::new(IorLike::default()));
-    let (events, wall) = pipeline_bench(&ior, 4)?;
-    record("ior_ranks4".into(), events, wall);
-
-    // DLIO-style read storm — 8 ranks re-reading a sample set over two
-    // epochs with negligible compute, so the storage tier is the
-    // bottleneck — measured on both bottom layers of the stack. The
-    // _pfs/_obj pair is the emerging-workload counterpart to the
-    // IOR row and puts the object-store path under the same gate.
-    let storm_workload = DlioLike {
-        num_samples: 128,
-        epochs: 2,
-        compute_per_batch: pioeval::types::SimDuration::from_micros(100),
-        ..DlioLike::default()
-    };
-    let dlio = WorkloadSource::Synthetic(Box::new(storm_workload));
-    let target_bench = |target: &TargetConfig| {
-        bench_median(repeat, || {
-            let before = des_events.get();
-            pioeval::core::measure_target(target, &dlio, 8, StackConfig::default(), seed)
-                .map_err(|e| e.to_string())?;
-            Ok(des_events.get() - before)
-        })
-    };
-    let pfs_target = TargetConfig::Pfs(ClusterConfig {
-        num_clients: 8,
-        ..ClusterConfig::default()
-    });
-    let (events, wall) = target_bench(&pfs_target)?;
-    record("dlio_storm_pfs".into(), events, wall);
-    let obj_target = TargetConfig::ObjStore(ObjStoreConfig::default());
-    let (events, wall) = target_bench(&obj_target)?;
-    record("dlio_storm_obj".into(), events, wall);
-
-    // Burst-buffer write-back rows: the IOR write pattern absorbed by
-    // two I/O nodes with an I/O-node loss injected mid-run, once with
-    // local-only acks and once geo-stretched, so the gate tracks the
-    // replication fabric, failure injector, and recovery machinery —
-    // not just the healthy data path.
-    let bb_target = |ack_mode: pioeval::resil::AckMode| {
-        let mut resil = pioeval::resil::ResilConfig {
-            ack_mode,
-            ..pioeval::resil::ResilConfig::default()
-        };
-        resil.failures.scripted.push(pioeval::resil::FailureEvent {
-            kind: pioeval::resil::FailureKind::IoNodeLoss,
-            target: 0,
-            at: pioeval::types::SimDuration::from_millis(2),
-        });
-        resil.failures.seed = pioeval::types::split_seed(seed, RESIL_SEED_STREAM);
-        TargetConfig::Pfs(ClusterConfig {
-            num_clients: 8,
-            num_ionodes: 2,
-            resil: Some(resil),
-            ..ClusterConfig::default()
-        })
-    };
-    let bb_ior = WorkloadSource::Synthetic(Box::new(IorLike::default()));
-    let bb_bench = |target: &TargetConfig| {
-        bench_median(repeat, || {
-            let before = des_events.get();
-            pioeval::core::measure_target(target, &bb_ior, 4, StackConfig::default(), seed)
-                .map_err(|e| e.to_string())?;
-            Ok(des_events.get() - before)
-        })
-    };
-    let (events, wall) = bb_bench(&bb_target(pioeval::resil::AckMode::LocalOnly))?;
-    record("ior_bb_local".into(), events, wall);
-    let (events, wall) = bb_bench(&bb_target(pioeval::resil::AckMode::Geographic))?;
-    record("ior_bb_geo".into(), events, wall);
-
-    // Request tracing must stay cheap enough to leave on: compare the
-    // traced parallel PHOLD row to its untraced twin in THIS run (same
-    // host, same moment), independent of any baseline file.
-    let eps_of_row = |name: String| rows.iter().find(|r| r.0 == name).map(|r| r.3);
-    let reqtrace_budget_pct = 5.0;
-    if let (Some(plain), Some(traced)) = (
-        eps_of_row(format!("phold_par_t{threads}")),
-        eps_of_row(format!("phold_par_t{threads}_reqtrace")),
-    ) {
-        let overhead_pct = (1.0 - traced / plain.max(1e-9)) * 100.0;
-        println!(
-            "\nreqtrace overhead: {overhead_pct:+.1}% events/sec vs \
-             phold_par_t{threads} (budget {reqtrace_budget_pct:.0}%)"
-        );
-        if overhead_pct > reqtrace_budget_pct {
-            return Err(format!(
-                "request-trace overhead {overhead_pct:.1}% exceeds the \
-                 {reqtrace_budget_pct:.0}% budget (phold_par_t{threads}_reqtrace \
-                 vs phold_par_t{threads})"
-            ));
-        }
+    if let Some(path) = flags.get("profile-out") {
+        let prof = bench_profile
+            .as_ref()
+            .ok_or("--profile-out needs --threads >= 2 (a single worker is not profiled)")?;
+        std::fs::write(path, prof.to_json())
+            .map_err(|e| format!("cannot write execution profile to {path}: {e}"))?;
+        println!("wrote execution profile to {path}");
     }
 
-    // Same discipline for the phase profiler: profiled-vs-plain gap in
-    // THIS run, so the 5% promise on --profile-out holds on every host.
-    let profile_budget_pct = 5.0;
-    if let (Some(plain), Some(profiled)) = (
-        eps_of_row(format!("phold_par_t{threads}")),
-        eps_of_row(format!("phold_par_t{threads}_profiled")),
-    ) {
-        let overhead_pct = (1.0 - profiled / plain.max(1e-9)) * 100.0;
-        println!(
-            "profiler overhead: {overhead_pct:+.1}% events/sec vs \
-             phold_par_t{threads} (budget {profile_budget_pct:.0}%)"
-        );
-        if overhead_pct > profile_budget_pct {
-            return Err(format!(
-                "phase-profiler overhead {overhead_pct:.1}% exceeds the \
-                 {profile_budget_pct:.0}% budget (phold_par_t{threads}_profiled \
-                 vs phold_par_t{threads})"
-            ));
-        }
-    }
-
-    // Gate BEFORE writing: the default --out path is also the default
-    // baseline path, so writing first would compare the run to itself.
-    let gate_result = flags
-        .get("baseline")
-        .map(|baseline| bench_gate(&rows, baseline, tolerance));
-
+    // Rows report the median wall over the rounds; the checks below see
+    // every round's events/sec.
+    let mut summary: Vec<(String, f64)> = Vec::new();
     let mut json = String::from("{\n  \"schema\": \"pioeval-bench/1\",\n  \"benches\": [\n");
-    for (i, (name, events, wall_ms, eps)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
+    let mut per_round: Vec<(String, Vec<f64>)> = Vec::new();
+    println!("{rounds} rounds, median per row:");
+    for (i, (name, (events, walls))) in measured.iter().enumerate() {
+        let wall = pioeval::types::percentile(walls, 50.0);
+        let (wall_ms, eps) = (wall * 1e3, *events as f64 / wall);
+        println!("{name:<22} {events:>10} events {wall_ms:>9.1} ms {eps:>12.0} events/s");
+        let sep = if i + 1 < measured.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"name\": \"{name}\", \"events\": {events}, \
              \"wall_ms\": {wall_ms:.3}, \"events_per_sec\": {eps:.1}}}{sep}\n"
         ));
+        summary.push((name.clone(), eps));
+        let eps = walls.iter().map(|w| *events as f64 / w).collect();
+        per_round.push((name.clone(), eps));
     }
     json.push_str("  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+
+    // Every check is a paired comparison judged the same way: the two
+    // recorder probes against their untraced twin in THIS run (same
+    // host, same round), and with --baseline every row's ratio to
+    // phold_seq against the baseline's. Judge BEFORE writing: the
+    // default --out path is also the default baseline path, so writing
+    // first would compare the run to itself.
+    let eps_of = |name: &str| &per_round.iter().find(|(n, _)| n == name).expect("row").1;
+    let vs_plain = |name: &str| {
+        let ratios = eps_of(name).iter().zip(eps_of(&plain)).map(|(c, p)| c / p);
+        (
+            format!("{name} vs {plain}"),
+            ratios.collect(),
+            RECORDER_BUDGET_PCT,
+        )
+    };
+    let mut checks: Vec<(String, Vec<f64>, f64)> = vec![vs_plain(&traced), vs_plain(&profiled)];
+    if let Some(baseline) = flags.get("baseline") {
+        println!("\ngate: per-round events/sec over phold_seq vs the same ratio in {baseline}");
+        for (name, ratios) in baseline_ratios(&per_round, baseline)? {
+            checks.push((format!("gate: {name}"), ratios, tolerance));
         }
     }
+    println!(
+        "\ncheck (overhead per pair)                            median     IQR over    budget"
+    );
+    let mut failures = Vec::new();
+    for (label, ratios, budget) in &checks {
+        let v = paired_check(ratios, *budget);
+        println!(
+            "{label:<50} {:>+7.1}% {:>6.1}p {:>2}/{:<3} {budget:>6.0}% {} (fails at {} of {})",
+            v.median_pct,
+            v.iqr_pct,
+            v.over,
+            ratios.len(),
+            if v.fail { "FAIL" } else { "ok" },
+            v.needed,
+            ratios.len(),
+        );
+        if v.fail {
+            failures.push(format!(
+                "{label} median overhead {:.1}% > {budget:.0}% in {} of {} pairs",
+                v.median_pct,
+                v.over,
+                ratios.len()
+            ));
+        }
+    }
+
+    create_parent_dir(&out)?;
     std::fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("\nwrote {out}");
 
@@ -1733,34 +1735,17 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // Record the engine configuration alongside the numbers, so
     // `pioeval compare` can group trends by configuration instead of
     // silently mixing, say, t2/coop rows with t8/threads rows.
-    let backend_name = match backend {
+    let backend = match backend {
         Backend::Auto => "auto",
         Backend::Threads => "threads",
         Backend::Cooperative => "coop",
     };
-    let window_name = match par_cfg.window {
+    let window = match par_cfg.window {
         pioeval::des::WindowPolicy::Fixed => "fixed",
         pioeval::des::WindowPolicy::Adaptive => "adaptive",
     };
-    let mut line = format!(
-        "{{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"{rev}\", \
-         \"timestamp\": \"{timestamp}\", \"threads\": {threads}, \
-         \"backend\": \"{backend_name}\", \"window\": \"{window_name}\", \
-         \"benches\": ["
-    );
-    for (i, (name, _, _, eps)) in rows.iter().enumerate() {
-        let sep = if i > 0 { ", " } else { "" };
-        line.push_str(&format!(
-            "{sep}{{\"name\": \"{name}\", \"events_per_sec\": {eps:.1}}}"
-        ));
-    }
-    line.push_str("]}\n");
-    if let Some(dir) = std::path::Path::new(&history).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
+    let line = history_line(&rev, &timestamp, threads, backend, window, &summary);
+    create_parent_dir(&history)?;
     use std::io::Write as _;
     std::fs::OpenOptions::new()
         .create(true)
@@ -1770,9 +1755,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot append to {history}: {e}"))?;
     println!("appended to {history} (rev {rev})");
 
-    match gate_result {
-        Some(res) => res,
-        None => Ok(()),
+    if failures.is_empty() {
+        println!("all {} checks pass", checks.len());
+        Ok(())
+    } else {
+        Err(format!("bench checks failed: {}", failures.join("; ")))
     }
 }
 
@@ -3101,6 +3088,151 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             assert!(res.is_ok(), "{tag}: {res:?}");
         }
+    }
+
+    #[test]
+    fn sign_test_threshold_is_the_exact_binomial_tail() {
+        assert_eq!(sign_test_min(5), 5);
+        assert_eq!(sign_test_min(10), 9);
+        assert_eq!(sign_test_min(4), 5, "no count of 4 pairs is significant");
+        assert_eq!(sign_test_min(0), 1);
+        // Cross-check against the floating-point tail where it is exact
+        // enough to decide.
+        for n in 1..=40usize {
+            let mut tail = vec![0.0f64; n + 2];
+            let mut c = 1.0f64; // C(n, j), walking j down from n
+            for j in (0..=n).rev() {
+                tail[j] = tail[j + 1] + c / 2f64.powi(n as i32);
+                c = c * j as f64 / (n - j + 1) as f64;
+            }
+            let k = (0..=n + 1).find(|&k| tail[k] <= 0.05).unwrap();
+            assert_eq!(sign_test_min(n), k, "n = {n}");
+        }
+        assert_eq!(sign_test_min(100), 59);
+    }
+
+    #[test]
+    fn paired_check_fails_only_on_steady_overheads() {
+        // Deterministic noise in [-1, 1], spread over the ten pairs.
+        let noise = |i: usize| ((i * 10) % 11) as f64 / 5.0 - 1.0;
+        let ratios = |overhead_pct: &dyn Fn(usize) -> f64| -> Vec<f64> {
+            (0..10).map(|i| 1.0 - overhead_pct(i) / 100.0).collect()
+        };
+        let steady = paired_check(&ratios(&|i| 8.0 + 2.0 * noise(i)), 5.0);
+        assert!(steady.fail, "steady 8% ± 2%: {steady:?}");
+        assert_eq!((steady.over, steady.needed), (10, 9));
+        let noisy = paired_check(&ratios(&|i| 25.0 * noise(i)), 5.0);
+        assert!(!noisy.fail, "0% ± 25%: {noisy:?}");
+        let mut outlier = vec![1.0; 10];
+        outlier[3] = 0.5;
+        let v = paired_check(&outlier, 5.0);
+        assert!(!v.fail && v.over == 1, "one 50% pair: {v:?}");
+        let under = ratios(&|i| if i == 3 { 50.0 } else { 3.0 });
+        assert!(!paired_check(&under, 5.0).fail);
+        let at_budget = paired_check(&[0.95; 10], 5.0);
+        assert!(!at_budget.fail && at_budget.over == 0, "{at_budget:?}");
+        assert!(paired_check(&[0.9499; 10], 5.0).fail);
+        // Five pairs can fail only if all five exceed the budget.
+        assert!(paired_check(&[0.9; 5], 5.0).fail);
+        assert!(!paired_check(&[0.9, 0.9, 0.9, 0.9, 1.0], 5.0).fail);
+    }
+
+    #[test]
+    fn bench_rejects_too_few_rounds_and_the_removed_seed_flag() {
+        for (args, needle) in [
+            (&["--repeat", "4"][..], "bad --repeat: 4"),
+            (&["--repeat", "101"][..], "bad --repeat: 101"),
+            (&["--seed", "7"][..], "unknown option --seed"),
+        ] {
+            let err = cmd_bench(&strs(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn rounds_alternate_row_order_and_demand_stable_event_counts() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut rows: Vec<BenchBody<'_>> = (0..3u64)
+            .map(|i| -> BenchBody<'_> {
+                let order = &order;
+                (
+                    format!("row{i}"),
+                    Box::new(move || {
+                        order.borrow_mut().push(i);
+                        Ok(i * 10)
+                    }),
+                )
+            })
+            .collect();
+        let measured = run_rounds(&mut rows, 3).unwrap();
+        assert_eq!(*order.borrow(), [0, 1, 2, 2, 1, 0, 0, 1, 2]);
+        for (i, (events, walls)) in measured.iter().enumerate() {
+            assert_eq!((*events, walls.len()), (i as u64 * 10, 3));
+        }
+        let mut calls = 0u64;
+        let mut drifting: Vec<BenchBody<'_>> = vec![(
+            "drift".into(),
+            Box::new(|| {
+                calls += 1;
+                Ok(calls)
+            }),
+        )];
+        let err = run_rounds(&mut drifting, 2).unwrap_err();
+        assert!(err.contains("nondeterministic bench drift"), "{err}");
+    }
+
+    #[test]
+    fn baseline_ratios_normalize_each_round_by_its_phold_seq() {
+        let path = std::env::temp_dir().join(format!(
+            "pioeval_bench_baseline_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            r#"{"benches": [{"name": "phold_seq", "events_per_sec": 100.0},
+               {"name": "row", "events_per_sec": 50.0},
+               {"name": "ior_ranks4", "events_per_sec": 7.0}]}"#,
+        )
+        .unwrap();
+        let rows = vec![
+            ("phold_seq".to_string(), vec![200.0, 100.0]),
+            ("row".to_string(), vec![100.0, 40.0]),
+            ("new_row".to_string(), vec![1.0, 1.0]),
+        ];
+        let ratios = baseline_ratios(&rows, path.to_str().unwrap());
+        std::fs::write(&path, r#"{"benches": []}"#).unwrap();
+        let missing = baseline_ratios(&rows, path.to_str().unwrap());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(ratios.unwrap(), vec![("row".to_string(), vec![1.0, 0.8])]);
+        assert!(missing.unwrap_err().contains("no usable phold_seq"));
+    }
+
+    #[test]
+    fn history_line_escapes_rev_and_timestamp() {
+        let rows = vec![("phold_seq".to_string(), 1.5), ("lint".to_string(), 2.0)];
+        let line = history_line("ab\\c", "x\"y", 2, "coop", "adaptive", &rows);
+        assert!(line.ends_with("]}\n"));
+        let doc = serde_json::parse(line.trim_end()).expect("history line is JSON");
+        let field = |k: &str| match doc.get(k) {
+            Some(serde_json::Value::Str(s)) => s.clone(),
+            other => panic!("{k}: {other:?}"),
+        };
+        assert_eq!(field("schema"), "pioeval-bench-history/1");
+        assert_eq!(field("rev"), "ab\\c");
+        assert_eq!(field("timestamp"), "x\"y");
+        assert_eq!(
+            (field("backend"), field("window")),
+            ("coop".into(), "adaptive".into())
+        );
+        // A later `pioeval compare` still reads the archive.
+        let path = std::env::temp_dir().join(format!(
+            "pioeval_bench_history_{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, format!("{line}{line}")).unwrap();
+        let res = cmd_compare(&strs(&["--history", path.to_str().unwrap()]));
+        let _ = std::fs::remove_file(&path);
+        assert!(res.is_ok(), "{res:?}");
     }
 
     #[test]

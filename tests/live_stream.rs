@@ -227,6 +227,10 @@ fn compare_renders_trends_over_archived_history() {
     std::fs::write(
         &hist,
         concat!(
+            // An older run still carries a row the bench no longer has.
+            "{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"0ld0000\", \"timestamp\": \"0\", ",
+            "\"benches\": [{\"name\": \"phold_seq\", \"events_per_sec\": 90.0}, ",
+            "{\"name\": \"ior_ranks4\", \"events_per_sec\": 40.0}]}\n",
             "{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"abc1234\", \"timestamp\": \"1\", ",
             "\"benches\": [{\"name\": \"phold_seq\", \"events_per_sec\": 100.0}, ",
             "{\"name\": \"phold_par_t2\", \"events_per_sec\": 150.0}]}\n",
@@ -243,6 +247,8 @@ fn compare_renders_trends_over_archived_history() {
         "--history",
         hist.to_str().unwrap(),
     ]);
+    // The default window reaches back to the run with the deleted row.
+    let all = pioeval(&["compare", "--history", hist.to_str().unwrap()]);
     std::fs::remove_file(&hist).ok();
     assert!(
         output.status.success(),
@@ -253,6 +259,21 @@ fn compare_renders_trends_over_archived_history() {
     assert!(stdout.contains("phold_par_t2"), "{stdout}");
     assert!(stdout.contains("vs prev"), "{stdout}");
     assert!(stdout.contains("def5678"), "newest rev shown: {stdout}");
+    assert!(
+        all.status.success(),
+        "compare over a deleted row failed: {}",
+        String::from_utf8_lossy(&all.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&all.stdout);
+    assert!(stdout.contains("0ld0000 .. def5678"), "{stdout}");
+    assert!(
+        stdout.contains("phold_par_t2"),
+        "newest rows shown: {stdout}"
+    );
+    assert!(
+        !stdout.contains("ior_ranks4"),
+        "deleted row rendered: {stdout}"
+    );
 }
 
 #[test]
