@@ -248,14 +248,11 @@ pub fn measure_target_instrumented(
     };
     let _collect_span = pioeval_obs::span(names::SPAN_CORE_COLLECT, "core");
     pioeval_obs::live::set_phase("measure:collect");
-    let requests = request_trace.then(|| {
-        let events = drain_request_events(&mut target, &handle);
-        pioeval_reqtrace::assemble(&events)
-    });
+    let events = request_trace.then(|| drain_request_events(&mut target, &handle));
     let job = collect_on(&target, &handle);
     // Read everything the report needs from the simulated cluster, then
-    // free it before the record copy and the trace products are built:
-    // the cluster and the flattened records never need to coexist.
+    // free it before the request assembly, the record copy and the trace
+    // products are built: none of them needs to coexist with the cluster.
     let (servers, mds_ops, fabrics, burst_buffers, gateways) = match &mut target {
         StorageTarget::Pfs(cluster) => (
             cluster.oss_stats(),
@@ -281,6 +278,7 @@ pub fn measure_target_instrumented(
         SystemAnalysis::from_timelines(&timelines)
     };
     drop(target);
+    let requests = events.map(|events| pioeval_reqtrace::assemble(&events));
     // The profile comes from the ranks' always-on streaming counters, so
     // it is complete even when record capture is disabled.
     let profile = job.merged_profile();

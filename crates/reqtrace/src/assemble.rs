@@ -1,6 +1,8 @@
 //! Span assembly: raw recorder events → attributed per-request records.
 
-use pioeval_types::{ReqEvent, ReqMark, ReqOp, SimDuration, SimTime, Tid, NO_COLLECTIVE};
+use pioeval_types::{
+    ReqEvent, ReqMark, ReqOp, ServerKind, SimDuration, SimTime, Tid, NO_COLLECTIVE,
+};
 use std::collections::HashMap;
 
 /// Pseudo-entity id for wire/lookahead gaps between recorded marks
@@ -60,9 +62,8 @@ impl Bucket {
 pub struct Span {
     /// The entity the time was spent at ([`WIRE_ENTITY`] for gaps).
     pub entity: u32,
-    /// Where: a [`pioeval_types::ServerKind`] name, `"fabric"`, or
-    /// `"wire"`.
-    pub label: String,
+    /// Where the time was spent.
+    pub label: SpanLabel,
     /// Which latency layer the segment is charged to.
     pub bucket: Bucket,
     /// Segment start (inclusive).
@@ -80,6 +81,38 @@ impl Span {
     /// True for zero-length segments.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
+    }
+}
+
+/// Where a [`Span`]'s time was spent. The names form a closed set of
+/// plain ASCII words, so trace writers print them without escaping.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SpanLabel {
+    /// A wire/lookahead gap between marks ([`WIRE_ENTITY`]).
+    Wire,
+    /// A fabric hop.
+    Fabric,
+    /// A residency at a server of this kind.
+    Server(ServerKind),
+}
+
+impl SpanLabel {
+    /// Stable name: `"wire"`, `"fabric"` or the [`ServerKind::name`].
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanLabel::Wire => "wire",
+            SpanLabel::Fabric => "fabric",
+            SpanLabel::Server(kind) => kind.name(),
+        }
+    }
+
+    /// Parse a [`SpanLabel::name`] back.
+    pub fn parse(name: &str) -> Option<SpanLabel> {
+        match name {
+            "wire" => Some(SpanLabel::Wire),
+            "fabric" => Some(SpanLabel::Fabric),
+            _ => ServerKind::parse(name).map(SpanLabel::Server),
+        }
     }
 }
 
@@ -112,15 +145,6 @@ impl RequestRecord {
         self.done.since(self.issue)
     }
 
-    /// Nanoseconds attributed to `bucket`.
-    pub fn bucket_ns(&self, bucket: Bucket) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.bucket == bucket)
-            .map(|s| s.len().as_nanos())
-            .sum()
-    }
-
     /// Per-bucket nanoseconds, indexed like [`BUCKETS`].
     pub fn breakdown(&self) -> [u64; 4] {
         let mut out = [0u64; 4];
@@ -137,7 +161,7 @@ impl RequestRecord {
 }
 
 /// The result of assembling a run's raw events.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Assembly {
     /// Completed root requests, sorted by (issue time, tid).
     pub requests: Vec<RequestRecord>,
@@ -146,57 +170,144 @@ pub struct Assembly {
     pub incomplete: usize,
 }
 
+/// The drained events grouped by request without moving them: slot
+/// `s`'s marks are `events[order[i]]` for `i` in `bounds[s]..bounds[s + 1]`,
+/// in `(start, entity, seq)` order.
+struct Grouped<'a> {
+    events: &'a [ReqEvent],
+    /// Every marked tid's slot, in order of first appearance.
+    slots: HashMap<Tid, u32>,
+    bounds: Vec<u32>,
+    order: Vec<u32>,
+    /// `(issue time, tid, slot)` of every slot with an Issue mark.
+    roots: Vec<(SimTime, Tid, usize)>,
+}
+
+impl<'a> Grouped<'a> {
+    /// Counting sort by slot (which keeps drain order inside a slot),
+    /// then a stable sort of each slot's few marks — the same order a
+    /// stable per-tid sort of the drained events gives. The roots are
+    /// picked out while each slot's marks are still in cache.
+    fn new(events: &'a [ReqEvent]) -> Self {
+        assert!(
+            events.len() < u32::MAX as usize,
+            "request trace exceeds u32::MAX marks"
+        );
+        let mut slots = HashMap::new();
+        let slot_of: Vec<u32> = events
+            .iter()
+            .map(|e| {
+                let next = slots.len() as u32;
+                *slots.entry(e.tid).or_insert(next)
+            })
+            .collect();
+        let len = slots.len();
+        let mut bounds = vec![0u32; len + 1];
+        for &s in &slot_of {
+            bounds[s as usize] += 1;
+        }
+        let mut sum = 0;
+        for b in &mut bounds[..len] {
+            sum += *b;
+            *b = sum;
+        }
+        bounds[len] = sum;
+        // Fill back to front: each slot's end moves down to its start,
+        // and later marks land behind earlier ones.
+        let mut order = vec![0u32; events.len()];
+        for (i, &s) in slot_of.iter().enumerate().rev() {
+            let b = &mut bounds[s as usize];
+            *b -= 1;
+            order[*b as usize] = i as u32;
+        }
+        drop(slot_of);
+        let mut roots = Vec::new();
+        for (s, w) in bounds.windows(2).enumerate() {
+            let marks = &mut order[w[0] as usize..w[1] as usize];
+            marks.sort_by_key(|&i| {
+                let e = &events[i as usize];
+                (e.mark.start(), e.entity, e.seq)
+            });
+            let issue = marks.iter().find_map(|&i| match events[i as usize] {
+                ReqEvent {
+                    tid,
+                    mark: ReqMark::Issue { at, .. },
+                    ..
+                } => Some((at, tid, s)),
+                _ => None,
+            });
+            roots.extend(issue);
+        }
+        roots.sort_unstable();
+        Grouped {
+            events,
+            slots,
+            bounds,
+            order,
+            roots,
+        }
+    }
+
+    /// Where slot `s`'s marks sit in `order`.
+    fn range(&self, s: usize) -> std::ops::Range<usize> {
+        self.bounds[s] as usize..self.bounds[s + 1] as usize
+    }
+
+    /// Slot `s`'s marks, in timeline order.
+    fn slot(&self, s: usize) -> impl DoubleEndedIterator<Item = &'a ReqEvent> + '_ {
+        self.order[self.range(s)]
+            .iter()
+            .map(|&i| &self.events[i as usize])
+    }
+
+    /// `tid`'s marks, in timeline order (empty when it has none).
+    fn marks(&self, tid: Tid) -> impl Iterator<Item = &'a ReqEvent> + '_ {
+        let range = self
+            .slots
+            .get(&tid)
+            .map_or(0..0, |&s| self.range(s as usize));
+        self.order[range].iter().map(|&i| &self.events[i as usize])
+    }
+}
+
 /// Group raw events by request and attribute each completed root
 /// request's latency. Child requests (tids without an Issue mark) are
 /// folded into their parents via their Spawn marks; they never appear
 /// as records of their own.
+///
+/// Linear in the number of marks: a counting sort groups them by
+/// request, and only each request's own few marks are sorted.
 pub fn assemble(events: &[ReqEvent]) -> Assembly {
-    let mut by_tid: HashMap<Tid, Vec<ReqEvent>> = HashMap::new();
-    for ev in events {
-        by_tid.entry(ev.tid).or_default().push(*ev);
-    }
-    for list in by_tid.values_mut() {
-        list.sort_by_key(|e| (e.mark.start(), e.entity, e.seq));
-    }
-
-    let mut roots: Vec<(SimTime, Tid)> = Vec::new();
-    for (&tid, list) in &by_tid {
-        if let Some(at) = list.iter().find_map(|e| match e.mark {
-            ReqMark::Issue { at, .. } => Some(at),
-            _ => None,
-        }) {
-            roots.push((at, tid));
-        }
-    }
-    roots.sort();
-
-    let mut out = Assembly::default();
-    for (_, tid) in roots {
-        let list = &by_tid[&tid];
-        let Some((rank, op, file, bytes, collective, issue)) =
-            list.iter().find_map(|e| match e.mark {
+    let grouped = Grouped::new(events);
+    let mut out = Assembly {
+        requests: Vec::with_capacity(grouped.roots.len()),
+        incomplete: 0,
+    };
+    let mut spans = Vec::new();
+    for &(issue, tid, s) in &grouped.roots {
+        let (rank, op, file, bytes, collective) = grouped
+            .slot(s)
+            .find_map(|e| match e.mark {
                 ReqMark::Issue {
                     rank,
                     op,
                     file,
                     bytes,
                     collective,
-                    at,
-                } => Some((rank, op, file, bytes, collective, at)),
+                    ..
+                } => Some((rank, op, file, bytes, collective)),
                 _ => None,
             })
-        else {
-            continue;
-        };
-        let Some(done) = list.iter().rev().find_map(|e| match e.mark {
+            .expect("a root slot has an Issue mark");
+        let Some(done) = grouped.slot(s).rev().find_map(|e| match e.mark {
             ReqMark::Done { at } => Some(at),
             _ => None,
         }) else {
             out.incomplete += 1;
             continue;
         };
-        let mut spans = Vec::new();
-        let cursor = walk(tid, issue, &by_tid, &mut spans);
+        spans.clear();
+        let cursor = walk(tid, issue, &grouped, &mut spans);
         // The Done mark advances the cursor at least to the delivery
         // time. Eagerly-recorded residencies can reach past it (an SSD
         // completion recorded at absorb, outlived by a failure-flushed
@@ -216,7 +327,7 @@ pub fn assemble(events: &[ReqEvent]) -> Assembly {
             collective,
             issue,
             done,
-            spans,
+            spans: spans.to_vec(),
         });
     }
     out
@@ -227,7 +338,7 @@ fn gap(spans: &mut Vec<Span>, from: SimTime, to: SimTime) {
     if to > from {
         spans.push(Span {
             entity: WIRE_ENTITY,
-            label: "wire".to_string(),
+            label: SpanLabel::Wire,
             bucket: Bucket::Fabric,
             start: from,
             end: to,
@@ -237,10 +348,9 @@ fn gap(spans: &mut Vec<Span>, from: SimTime, to: SimTime) {
 
 /// The last instant any of `tid`'s marks covers (used to pick the
 /// critical child among fan-out siblings).
-fn last_covered(tid: Tid, by_tid: &HashMap<Tid, Vec<ReqEvent>>) -> Option<SimTime> {
-    by_tid
-        .get(&tid)?
-        .iter()
+fn last_covered(tid: Tid, grouped: &Grouped) -> Option<SimTime> {
+    grouped
+        .marks(tid)
         .map(|e| match e.mark {
             ReqMark::Issue { at, .. } => at,
             ReqMark::Hop { depart, .. } => depart,
@@ -255,35 +365,27 @@ fn last_covered(tid: Tid, by_tid: &HashMap<Tid, Vec<ReqEvent>>) -> Option<SimTim
 /// that tile the timeline with a monotone cursor, and return the final
 /// cursor position. Marks are clamped forward so that spans can never
 /// overlap even if the recorded intervals were inconsistent.
-fn walk(
-    tid: Tid,
-    from: SimTime,
-    by_tid: &HashMap<Tid, Vec<ReqEvent>>,
-    spans: &mut Vec<Span>,
-) -> SimTime {
+fn walk(tid: Tid, from: SimTime, grouped: &Grouped, spans: &mut Vec<Span>) -> SimTime {
     let mut cursor = from;
-    let Some(list) = by_tid.get(&tid) else {
-        return cursor;
-    };
-    let marks: Vec<(u32, ReqMark)> = list.iter().map(|e| (e.entity, e.mark)).collect();
-    let mut i = 0;
-    while i < marks.len() {
-        let (entity, mark) = marks[i];
+    let mut marks = grouped.marks(tid).peekable();
+    while let Some(&ReqEvent { entity, mark, .. }) = marks.next() {
         match mark {
-            ReqMark::Issue { .. } => i += 1,
+            ReqMark::Issue { .. } | ReqMark::Spawn { .. } => {
+                // A Spawn not following a Server mark has nothing to
+                // refine.
+            }
             ReqMark::Hop { arrive, depart } => {
                 let arrive = arrive.max(cursor);
                 let depart = depart.max(arrive);
                 gap(spans, cursor, arrive);
                 spans.push(Span {
                     entity,
-                    label: "fabric".to_string(),
+                    label: SpanLabel::Fabric,
                     bucket: Bucket::Fabric,
                     start: arrive,
                     end: depart,
                 });
                 cursor = depart;
-                i += 1;
             }
             ReqMark::Server {
                 kind,
@@ -295,51 +397,47 @@ fn walk(
                 let depart = depart.max(arrive);
                 gap(spans, cursor, arrive);
                 let queue_end = arrive.saturating_add(queue).min(depart);
+                let label = SpanLabel::Server(kind);
                 spans.push(Span {
                     entity,
-                    label: kind.name().to_string(),
+                    label,
                     bucket: Bucket::Queue,
                     start: arrive,
                     end: queue_end,
                 });
-                // Collect the children this server spawned for this
-                // request (their Spawn marks sort inside our interval).
-                let mut children: Vec<(Tid, SimTime)> = Vec::new();
-                let mut j = i + 1;
-                while j < marks.len() {
-                    match marks[j].1 {
-                        ReqMark::Spawn { child, at } if at <= depart => {
-                            children.push((child, at));
-                            j += 1;
-                        }
-                        _ => break,
+                // The children this server spawned for this request
+                // (their Spawn marks sort inside our interval). Refine
+                // through the critical child: the spawned sub-request
+                // that finishes last bounds the parent's completion, so
+                // its own hops/queues/devices replace the parent's
+                // opaque residency where they overlap.
+                let mut critical = None;
+                while let Some(ReqMark::Spawn { child, at }) = marks.peek().map(|e| e.mark) {
+                    if at > depart {
+                        break;
+                    }
+                    marks.next();
+                    if let Some(end) = last_covered(child, grouped) {
+                        critical = critical.max(Some((end, child, at)));
                     }
                 }
-                i = j;
                 let inner = if kind.is_device() {
                     Bucket::Device
                 } else {
                     Bucket::Service
                 };
-                // Refine through the critical child: the spawned
-                // sub-request that finishes last bounds the parent's
-                // completion, so its own hops/queues/devices replace
-                // the parent's opaque residency where they overlap.
-                let critical = children
-                    .iter()
-                    .filter_map(|&(c, at)| last_covered(c, by_tid).map(|end| (end, c, at)))
-                    .max();
+                let mut service_from = queue_end;
                 if let Some((_, child, spawn_at)) = critical {
                     let spawn_at = spawn_at.clamp(queue_end, depart);
                     spans.push(Span {
                         entity,
-                        label: kind.name().to_string(),
+                        label,
                         bucket: inner,
                         start: queue_end,
                         end: spawn_at,
                     });
                     let child_base = spans.len();
-                    let child_end = walk(child, spawn_at, by_tid, spans).min(depart);
+                    service_from = walk(child, spawn_at, grouped, spans).min(depart);
                     // A child can outlive its parent's recorded
                     // residency — a replication leg still in flight
                     // when its failed node flushed the client ACK —
@@ -349,31 +447,20 @@ fn walk(
                         s.start = s.start.min(depart);
                         s.end = s.end.min(depart);
                     }
-                    spans.push(Span {
-                        entity,
-                        label: kind.name().to_string(),
-                        bucket: inner,
-                        start: child_end,
-                        end: depart,
-                    });
-                } else {
-                    spans.push(Span {
-                        entity,
-                        label: kind.name().to_string(),
-                        bucket: inner,
-                        start: queue_end,
-                        end: depart,
-                    });
                 }
+                spans.push(Span {
+                    entity,
+                    label,
+                    bucket: inner,
+                    start: service_from,
+                    end: depart,
+                });
                 cursor = depart;
             }
-            // A Spawn not following a Server mark has nothing to refine.
-            ReqMark::Spawn { .. } => i += 1,
             ReqMark::Done { at } => {
                 let at = at.max(cursor);
                 gap(spans, cursor, at);
                 cursor = at;
-                i += 1;
             }
         }
     }
@@ -383,7 +470,6 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pioeval_types::ServerKind;
 
     fn ev(tid: Tid, entity: u32, seq: u32, mark: ReqMark) -> ReqEvent {
         ReqEvent {

@@ -28,10 +28,12 @@
 
 pub mod assemble;
 pub mod file;
+#[cfg(test)]
+mod oracle;
 pub mod report;
 
-pub use assemble::{assemble, Assembly, Bucket, RequestRecord, Span};
-pub use file::{chrome_trace, read_jsonl, write_jsonl, FORMAT};
+pub use assemble::{assemble, Assembly, Bucket, RequestRecord, Span, SpanLabel};
+pub use file::{chrome_trace, read_jsonl, write_jsonl, write_jsonl_to, FORMAT};
 pub use report::{
     collective_paths, summarize, tail_attribution, CollectivePath, LayerStats, OpStats,
     PercentileSet, TailAttribution, TraceSummary,

@@ -2,7 +2,7 @@
 //! tail-latency attribution, and per-collective critical paths.
 
 use crate::assemble::{Bucket, RequestRecord, BUCKETS};
-use pioeval_types::{percentile_u64, SimDuration, SimTime};
+use pioeval_types::{percentile_sorted_u64, percentile_u64, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Exact nearest-rank tail percentiles of one latency population.
@@ -21,18 +21,16 @@ pub struct PercentileSet {
 }
 
 impl PercentileSet {
-    /// Compute from a sample population (zeroes when empty).
-    pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return PercentileSet::default();
-        }
-        let q = |p: f64| SimDuration::from_nanos(percentile_u64(samples, p));
+    /// Compute from a population already sorted ascending, with the
+    /// same nearest-rank rule as [`percentile_u64`] (zeroes when empty).
+    pub(crate) fn from_sorted(sorted: &[u64]) -> Self {
+        let q = |p: f64| SimDuration::from_nanos(percentile_sorted_u64(sorted, p));
         PercentileSet {
             p50: q(50.0),
             p95: q(95.0),
             p99: q(99.0),
             p999: q(99.9),
-            max: SimDuration::from_nanos(samples.iter().copied().max().unwrap_or(0)),
+            max: SimDuration::from_nanos(sorted.last().copied().unwrap_or(0)),
         }
     }
 }
@@ -93,46 +91,57 @@ impl TraceSummary {
 /// Summarize assembled requests (`incomplete` is carried through from
 /// [`crate::assemble::Assembly`]).
 pub fn summarize(requests: &[RequestRecord], incomplete: usize) -> TraceSummary {
-    let latencies: Vec<u64> = requests.iter().map(|r| r.latency().as_nanos()).collect();
-    let total_latency_ns: u64 = latencies.iter().sum();
-
-    let mut layers = Vec::with_capacity(4);
-    for bucket in BUCKETS {
-        let components: Vec<u64> = requests.iter().map(|r| r.bucket_ns(bucket)).collect();
-        let total: u64 = components.iter().sum();
-        layers.push(LayerStats {
-            bucket,
-            total: SimDuration::from_nanos(total),
-            share: if total_latency_ns > 0 {
-                total as f64 / total_latency_ns as f64
-            } else {
-                0.0
-            },
-            percentiles: PercentileSet::from_samples(&components),
-        });
-    }
-
+    // One pass fills every population; each is then sorted once.
+    let mut latencies = Vec::with_capacity(requests.len());
+    let mut components: [Vec<u64>; 4] = std::array::from_fn(|_| Vec::with_capacity(requests.len()));
     let mut per_op: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
     for r in requests {
-        per_op
-            .entry(r.op.name())
-            .or_default()
-            .push(r.latency().as_nanos());
+        let latency = r.latency().as_nanos();
+        latencies.push(latency);
+        for (c, ns) in components.iter_mut().zip(r.breakdown()) {
+            c.push(ns);
+        }
+        per_op.entry(r.op.name()).or_default().push(latency);
     }
+    let total_latency_ns: u64 = latencies.iter().sum();
+
+    let layers = BUCKETS
+        .iter()
+        .zip(&mut components)
+        .map(|(&bucket, samples)| {
+            let total: u64 = samples.iter().sum();
+            samples.sort_unstable();
+            LayerStats {
+                bucket,
+                total: SimDuration::from_nanos(total),
+                share: if total_latency_ns > 0 {
+                    total as f64 / total_latency_ns as f64
+                } else {
+                    0.0
+                },
+                percentiles: PercentileSet::from_sorted(samples),
+            }
+        })
+        .collect();
+
     let mut ops: Vec<OpStats> = per_op
         .into_iter()
-        .map(|(op, lat)| OpStats {
-            op: op.to_string(),
-            count: lat.len(),
-            latency: PercentileSet::from_samples(&lat),
+        .map(|(op, mut lat)| {
+            lat.sort_unstable();
+            OpStats {
+                op: op.to_string(),
+                count: lat.len(),
+                latency: PercentileSet::from_sorted(&lat),
+            }
         })
         .collect();
     ops.sort_by(|a, b| b.count.cmp(&a.count).then(a.op.cmp(&b.op)));
 
+    latencies.sort_unstable();
     TraceSummary {
         requests: requests.len(),
         incomplete,
-        latency: PercentileSet::from_samples(&latencies),
+        latency: PercentileSet::from_sorted(&latencies),
         total_latency: SimDuration::from_nanos(total_latency_ns),
         layers,
         ops,
@@ -274,8 +283,9 @@ pub fn collective_paths(requests: &[RequestRecord]) -> Vec<CollectivePath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::Span;
-    use pioeval_types::{ReqOp, NO_COLLECTIVE};
+    use crate::assemble::{Span, SpanLabel};
+    use pioeval_types::{ReqOp, ServerKind, NO_COLLECTIVE};
+    use proptest::prelude::*;
 
     fn req(
         rank: u32,
@@ -299,14 +309,14 @@ mod tests {
             spans: vec![
                 Span {
                     entity: 1,
-                    label: "oss".into(),
+                    label: SpanLabel::Server(ServerKind::OssDevice),
                     bucket: Bucket::Queue,
                     start: issue,
                     end: queue_end,
                 },
                 Span {
                     entity: 1,
-                    label: "oss".into(),
+                    label: SpanLabel::Server(ServerKind::OssDevice),
                     bucket: Bucket::Device,
                     start: queue_end,
                     end: done,
@@ -361,5 +371,35 @@ mod tests {
         assert_eq!(p.slowest_rank, 1);
         assert_eq!(p.end, SimTime::from_nanos(500));
         assert_eq!(p.slowest_totals[Bucket::Queue.index()], 400);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sorting once and indexing gives exactly what the shared
+        /// nearest-rank helper gives for each percentile, with ties
+        /// (values from a tiny range) and without, down to 0 and 1
+        /// samples.
+        #[test]
+        fn percentile_set_matches_percentile_u64(
+            len in prop::sample::select(vec![0usize, 1, 2, 3, 10, 999, 1000]),
+            tied in prop::collection::vec(0u64..8, 1000..1001),
+            spread in prop::collection::vec(0u64..u64::MAX, 1000..1001),
+            ties in any::<bool>(),
+        ) {
+            let samples = if ties { &tied[..len] } else { &spread[..len] };
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            let set = PercentileSet::from_sorted(&sorted);
+            let q = |p: f64| SimDuration::from_nanos(percentile_u64(samples, p));
+            prop_assert_eq!(set.p50, q(50.0));
+            prop_assert_eq!(set.p95, q(95.0));
+            prop_assert_eq!(set.p99, q(99.0));
+            prop_assert_eq!(set.p999, q(99.9));
+            prop_assert_eq!(
+                set.max,
+                SimDuration::from_nanos(samples.iter().copied().max().unwrap_or(0))
+            );
+        }
     }
 }

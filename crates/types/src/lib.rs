@@ -34,7 +34,7 @@ pub use ids::{ClientId, FileId, JobId, NodeId, OstId, Rank};
 pub use io::{IoKind, IoOp, MetaOp, RankProgram};
 pub use layer::{Layer, LayerRecord, RecordOp};
 pub use pattern::{AccessPattern, PatternDetector};
-pub use percentile::{percentile, percentile_u64};
+pub use percentile::{percentile, percentile_sorted_u64, percentile_u64};
 pub use profile::{
     ExecProfile, PhaseRecorder, ProfPhase, WindowSample, WorkerProfile, NO_LIMITER, PROF_PHASES,
     PROF_SAMPLE_CAP,

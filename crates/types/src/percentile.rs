@@ -29,11 +29,19 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// Nearest-rank percentile over integers (e.g. nanosecond latencies).
 /// Returns `0` on empty input.
 pub fn percentile_u64(values: &[u64], p: f64) -> u64 {
-    if values.is_empty() {
-        return 0;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
+    percentile_sorted_u64(&sorted, p)
+}
+
+/// [`percentile_u64`] over input that is already sorted ascending: no
+/// copy, no sort. Sort a population once and read every percentile of
+/// it from here. Returns `0` on empty input.
+pub fn percentile_sorted_u64(sorted: &[u64], p: f64) -> u64 {
+    debug_assert!(sorted.is_sorted(), "input must be sorted");
+    if sorted.is_empty() {
+        return 0;
+    }
     sorted[nearest_rank_index(sorted.len(), p)]
 }
 

@@ -845,8 +845,13 @@ fn emit_request_trace(
     let (Some(path), Some(asm)) = (&opts.request_trace, &report.requests) else {
         return Ok(());
     };
-    let text = pioeval::reqtrace::write_jsonl(&asm.requests, asm.incomplete);
-    std::fs::write(path, text).map_err(|e| format!("cannot write request trace to {path}: {e}"))?;
+    use std::io::Write as _;
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut out = std::io::BufWriter::new(file);
+        pioeval::reqtrace::write_jsonl_to(&mut out, &asm.requests, asm.incomplete)?;
+        out.flush()
+    });
+    written.map_err(|e| format!("cannot write request trace to {path}: {e}"))?;
     let summary = pioeval::reqtrace::summarize(&asm.requests, asm.incomplete);
     let shares = summary.shares();
     let diag = pioeval::monitor::classify_bottleneck(shares);
@@ -3008,7 +3013,7 @@ mod tests {
         // Build a tiny assembly, write it the same way `--request-trace`
         // does, and run the analyzer over the file in both modes.
         use pioeval::reqtrace as rt;
-        use pioeval::types::{ReqOp, SimTime, NO_COLLECTIVE};
+        use pioeval::types::{ReqOp, ServerKind, SimTime, NO_COLLECTIVE};
         let issue = SimTime::from_nanos(10);
         let done = SimTime::from_nanos(110);
         let req = rt::RequestRecord {
@@ -3022,7 +3027,7 @@ mod tests {
             done,
             spans: vec![rt::Span {
                 entity: 2,
-                label: "oss".into(),
+                label: rt::SpanLabel::Server(ServerKind::OssDevice),
                 bucket: rt::Bucket::Device,
                 start: issue,
                 end: done,
