@@ -167,8 +167,8 @@ pub fn measure_target_with_exec(
 
 /// [`measure_target_with_exec`] with optional per-request tracing.
 ///
-/// With `request_trace` on, every client RPC is stamped with a trace id
-/// and followed through fabrics, servers, and device queues in
+/// With `request_trace` on, every client RPC (each carries a trace id)
+/// is followed through fabrics, servers, and device queues in
 /// simulated time; the assembled, latency-attributed requests land in
 /// [`MeasurementReport::requests`]. Recording is per-entity and
 /// contention-free, and the drained trace is deterministic across DES

@@ -35,6 +35,12 @@
 //! causal step on those models, which is why the threaded backend hands
 //! sparse runs to the sequential loop (see [`parallel::Backend::Threads`]).
 //!
+//! **Request tracing.** [`Simulation::set_request_trace`] is the one
+//! switch: while it is on, [`Ctx::trace`] appends a mark to the handling
+//! entity's own recorder, which travels with the entity under every
+//! executor, and [`Simulation::drain_request_events`] collects the marks
+//! in ascending entity id — the same sequence on every executor.
+//!
 //! **Causality sanitizer.** Building with `--features causality-check`
 //! compiles per-worker Lamport-clock guards into both parallel backends
 //! (the `causality` module, compiled only under that feature): every

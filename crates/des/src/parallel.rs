@@ -48,7 +48,8 @@ use crate::event::Envelope;
 use crate::queue::EventQueue;
 use crate::sim::{Ctx, Entity, RunResult, Simulation};
 use pioeval_types::{
-    ExecProfile, PhaseRecorder, ProfPhase, SimDuration, SimTime, WorkerProfile, NO_LIMITER,
+    ExecProfile, PhaseRecorder, ProfPhase, ReqRecorder, SimDuration, SimTime, WorkerProfile,
+    NO_LIMITER,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -451,6 +452,9 @@ struct Worker<M> {
     entities: Vec<(usize, Box<dyn Entity<M>>)>,
     /// Send sequence counters for owned entities, parallel to `entities`.
     seqs: Vec<u64>,
+    /// Request-trace recorders for owned entities, parallel to
+    /// `entities` while tracing is on and empty while it is off.
+    recs: Vec<ReqRecorder>,
     /// Local slot lookup: global entity index → local slot (usize::MAX if
     /// not owned).
     slots: Vec<usize>,
@@ -466,6 +470,7 @@ impl<M> Worker<M> {
         Worker {
             entities: Vec::new(),
             seqs: Vec::new(),
+            recs: Vec::new(),
             slots: vec![usize::MAX; total_entities],
             store: WindowStore::new(),
             processed: 0,
@@ -525,8 +530,8 @@ fn horizon(
     (h, wide)
 }
 
-/// Move entities, seq counters, and pending events out of `sim` into
-/// per-worker state according to `owners`.
+/// Move entities, seq counters, trace recorders, and pending events out
+/// of `sim` into per-worker state according to `owners`.
 fn checkout<M: 'static>(sim: &mut Simulation<M>, owners: &[u32], threads: usize) -> Vec<Worker<M>> {
     let n = sim.num_entities();
     let mut workers: Vec<Worker<M>> = (0..threads).map(|_| Worker::empty(n)).collect();
@@ -538,6 +543,9 @@ fn checkout<M: 'static>(sim: &mut Simulation<M>, owners: &[u32], threads: usize)
         w.slots[idx] = w.entities.len();
         w.entities.push((idx, entity));
         w.seqs.push(sim.seqs[idx]);
+        if sim.tracing {
+            w.recs.push(std::mem::take(&mut sim.recs[idx]));
+        }
     }
     for ev in sim.queue.take_all() {
         workers[owners[ev.dst().index()] as usize].store.push(ev);
@@ -545,8 +553,9 @@ fn checkout<M: 'static>(sim: &mut Simulation<M>, owners: &[u32], threads: usize)
     workers
 }
 
-/// Reinstall entities, seq counters, and any unprocessed events (time
-/// limit / halt may leave events pending, same as the sequential path).
+/// Reinstall entities, seq counters, trace recorders, and any
+/// unprocessed events (time limit / halt may leave events pending, same
+/// as the sequential path).
 /// Returns (events processed, end-time nanos).
 fn checkin<M: 'static>(sim: &mut Simulation<M>, workers: &mut [Worker<M>]) -> (u64, u64) {
     let mut events = 0u64;
@@ -555,9 +564,13 @@ fn checkin<M: 'static>(sim: &mut Simulation<M>, workers: &mut [Worker<M>]) -> (u
     for worker in workers.iter_mut() {
         events += worker.processed;
         end_max = end_max.max(worker.end_max);
+        let mut recs = worker.recs.drain(..);
         for ((idx, entity), seq) in worker.entities.drain(..).zip(worker.seqs.drain(..)) {
             sim.entities[idx] = Some(entity);
             sim.seqs[idx] = seq;
+            if let Some(rec) = recs.next() {
+                sim.recs[idx] = rec;
+            }
         }
         leftovers.extend(worker.store.take_all());
     }
@@ -908,6 +921,7 @@ fn run_cooperative<M: 'static>(
                     seq: &mut me.seqs[slot],
                     emitted: &mut emitted,
                     halt: &mut halt_flag,
+                    recorder: me.recs.get_mut(slot),
                 };
                 entity.on_event(ev, &mut ctx);
                 me.processed += 1;
@@ -1182,6 +1196,7 @@ fn run_threaded<M: Send + 'static>(
                                 seq: &mut worker.seqs[slot],
                                 emitted: &mut emitted,
                                 halt: &mut halt_flag,
+                                recorder: worker.recs.get_mut(slot),
                             };
                             entity.on_event(ev, &mut ctx);
                             worker.processed += 1;

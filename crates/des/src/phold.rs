@@ -10,21 +10,16 @@
 
 use crate::event::EntityId;
 use crate::sim::{Ctx, Entity, SimConfig, Simulation};
-use pioeval_types::{rng, split_seed, tid_for, ReqMark, ReqRecorder, SimDuration, SimTime};
+use pioeval_types::{rng, split_seed, tid_for, ReqMark, SimDuration, SimTime};
 use rand::Rng;
-
-/// Cap on marks a traced PHOLD LP keeps before discarding: the traced
-/// bench row measures recording cost, not the memory of holding marks
-/// the benchmark never reads back.
-const TRACE_KEEP: usize = 65_536;
 
 /// Record one mark every this many handled events in the traced PHOLD
 /// variant. PHOLD events are ~100 ns apiece — orders of magnitude
 /// cheaper than any modeled I/O event — and real traced runs record
 /// marks per RPC hop, a small fraction of engine events. Sampling keeps
 /// the probe's mark:event ratio in that realistic range while the
-/// `enabled` branch (the tracer's true always-on per-event cost) still
-/// executes on every event.
+/// [`Ctx::tracing`] branch (the tracer's true always-on per-event cost)
+/// still executes on every event.
 const TRACE_SAMPLE: u64 = 64;
 
 /// One PHOLD logical process.
@@ -38,9 +33,6 @@ pub struct PholdLp {
     /// Order-sensitive fingerprint of everything observed (determinism
     /// checks).
     pub fingerprint: u64,
-    /// Sampled request-trace marks when enabled ([`build_phold_traced`]):
-    /// the overhead probe for the tracing hot path.
-    pub reqtrace: ReqRecorder,
 }
 
 impl Entity<u64> for PholdLp {
@@ -48,16 +40,9 @@ impl Entity<u64> for PholdLp {
         self.handled += 1;
         self.fingerprint =
             self.fingerprint.wrapping_mul(0x100000001B3) ^ ev.msg ^ ev.time().as_nanos();
-        if self.reqtrace.enabled && self.handled.is_multiple_of(TRACE_SAMPLE) {
-            let me = ctx.me().0;
-            if self.reqtrace.events.len() >= TRACE_KEEP {
-                self.reqtrace.events.clear();
-            }
-            self.reqtrace.record(
-                tid_for(me, self.handled),
-                me,
-                ReqMark::Done { at: ev.time() },
-            );
+        if ctx.tracing() && self.handled.is_multiple_of(TRACE_SAMPLE) {
+            let tid = tid_for(ctx.me().0, self.handled);
+            ctx.trace(tid, ReqMark::Done { at: ev.time() });
         }
         let dst = EntityId(self.rng.gen_range(0..self.n));
         let delay =
@@ -112,7 +97,6 @@ pub fn build_phold(cfg: &PholdConfig) -> Simulation<u64> {
                 max_extra: cfg.lookahead.as_nanos() * cfg.delay_spread.max(1),
                 handled: 0,
                 fingerprint: 0,
-                reqtrace: ReqRecorder::default(),
             }),
         );
     }
@@ -126,20 +110,16 @@ pub fn build_phold(cfg: &PholdConfig) -> Simulation<u64> {
     sim
 }
 
-/// Build a PHOLD simulation with the request-trace recorder enabled on
-/// every LP: the enabled-check runs on every handled event (the
-/// tracer's always-on cost) and every `TRACE_SAMPLE`-th event records
-/// a full mark with a non-zero tid (tid build + `Vec` push), matching
-/// the mark:event ratio of a traced measurement run. Benchmarking this
+/// Build a PHOLD simulation with request tracing switched on: the
+/// [`Ctx::tracing`] check runs on every handled event (the tracer's
+/// always-on cost) and every `TRACE_SAMPLE`-th event records a full
+/// mark with a non-zero tid (tid build + `Vec` push), matching the
+/// mark:event ratio of a traced measurement run. Benchmarking this
 /// against [`build_phold`] pins the overhead the tracer adds to a
 /// simulation.
 pub fn build_phold_traced(cfg: &PholdConfig) -> Simulation<u64> {
     let mut sim = build_phold(cfg);
-    for i in 0..cfg.lps {
-        if let Some(lp) = sim.entity_mut::<PholdLp>(EntityId(i)) {
-            lp.reqtrace.enabled = true;
-        }
-    }
+    sim.set_request_trace(true);
     sim
 }
 
@@ -209,14 +189,39 @@ mod tests {
             phold_fingerprint(&traced, cfg.lps),
             phold_fingerprint(&plain, cfg.lps)
         );
-        let lp = traced
-            .entity_ref::<PholdLp>(EntityId(0))
-            .expect("PHOLD LP missing");
-        assert!(!lp.reqtrace.events.is_empty(), "no marks recorded");
-        let untraced_lp = plain
-            .entity_ref::<PholdLp>(EntityId(0))
-            .expect("PHOLD LP missing");
-        assert!(untraced_lp.reqtrace.events.is_empty());
+        let marks = traced.drain_request_events();
+        assert!(marks.iter().any(|e| e.entity == 0), "no marks recorded");
+        // One mark per TRACE_SAMPLE handled events, per LP.
+        let sampled: u64 = (0..cfg.lps)
+            .map(|i| traced.entity_ref::<PholdLp>(EntityId(i)).unwrap().handled / TRACE_SAMPLE)
+            .sum();
+        assert_eq!(marks.len() as u64, sampled);
+        assert!(plain.drain_request_events().is_empty());
+    }
+
+    #[test]
+    fn traced_phold_marks_identical_across_executors() {
+        use crate::parallel::Backend;
+        let cfg = small();
+        let mut seq = build_phold_traced(&cfg);
+        seq.run();
+        let seq_marks = seq.drain_request_events();
+        assert!(!seq_marks.is_empty());
+        for backend in [Backend::Threads, Backend::Cooperative] {
+            for threads in [2, 3] {
+                let mut par = build_phold_traced(&cfg);
+                let pcfg = ParallelConfig {
+                    threads,
+                    backend,
+                    ..ParallelConfig::default()
+                };
+                run_parallel(&mut par, &pcfg);
+                assert!(
+                    par.drain_request_events() == seq_marks,
+                    "{backend:?}, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

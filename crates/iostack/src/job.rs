@@ -241,40 +241,20 @@ fn collect_from(sim: &Simulation<PfsMsg>, handle: &JobHandle) -> JobResult {
     }
 }
 
-/// Turn on end-to-end request tracing for a launched job: every
-/// infrastructure entity (fabrics, servers, gateways) starts recording
-/// and every rank stamps its outgoing RPCs with trace ids. Call after
-/// [`launch_on`] and before running the simulation.
-pub fn enable_request_trace(target: &mut StorageTarget, handle: &JobHandle) {
-    target.enable_infra_trace();
-    let sim = match target {
-        StorageTarget::Pfs(c) => &mut c.sim,
-        StorageTarget::ObjStore(c) => &mut c.sim,
-    };
-    for &id in &handle.ranks {
-        if let Some(rank) = sim.entity_mut::<RankClient>(id) {
-            rank.enable_request_trace();
-        }
-    }
+/// Turn on end-to-end request tracing: the target's simulation records
+/// the marks of every entity ([`Simulation::set_request_trace`]). Call
+/// after [`launch_on`] and before running the simulation.
+pub fn enable_request_trace(target: &mut StorageTarget, _handle: &JobHandle) {
+    target.sim_mut().set_request_trace(true);
 }
 
-/// Drain every request-trace event of a completed run: infrastructure
-/// recorders first (ascending entity id), then each rank's recorder in
-/// rank order. Each recorder is only ever appended by its own entity,
-/// so this merge order — and therefore the drained event sequence — is
-/// identical under the sequential and parallel DES executors.
-pub fn drain_request_events(target: &mut StorageTarget, handle: &JobHandle) -> Vec<ReqEvent> {
-    let mut out = target.drain_infra_trace();
-    let sim = match target {
-        StorageTarget::Pfs(c) => &mut c.sim,
-        StorageTarget::ObjStore(c) => &mut c.sim,
-    };
-    for &id in &handle.ranks {
-        if let Some(rank) = sim.entity_mut::<RankClient>(id) {
-            out.extend(rank.reqtrace.drain());
-        }
-    }
-    out
+/// Drain every request-trace event of a completed run, entities in
+/// ascending id ([`Simulation::drain_request_events`]). Ranks are
+/// registered after every infrastructure entity, so this is the
+/// infrastructure's marks by entity id, then each rank's in rank order,
+/// under every DES executor.
+pub fn drain_request_events(target: &mut StorageTarget, _handle: &JobHandle) -> Vec<ReqEvent> {
+    target.sim_mut().drain_request_events()
 }
 
 /// Collect the results of a job after the simulation has run.

@@ -8,8 +8,8 @@ use pioeval_des::{Ctx, Entity, EntityId, Envelope};
 use pioeval_pfs::msg::{payload_bytes, PfsMsg, RequestId};
 use pioeval_trace::JobProfile;
 use pioeval_types::{
-    tid_for, FileId, IoKind, Layer, LayerRecord, Rank, RecordOp, ReqMark, ReqOp, ReqRecorder,
-    SimDuration, SimTime, NO_COLLECTIVE,
+    tid_for, FileId, IoKind, Layer, LayerRecord, Rank, RecordOp, ReqMark, ReqOp, SimDuration,
+    SimTime, NO_COLLECTIVE,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -88,9 +88,6 @@ pub struct RankClient {
     pub started_at: Option<SimTime>,
     /// When the rank finished its program.
     pub finished_at: Option<SimTime>,
-    /// Per-request trace recorder (Issue/Done marks for this rank's own
-    /// RPCs). Enabled together with the port's tid emission.
-    pub reqtrace: ReqRecorder,
     /// Collective instance the rank is currently inside, or
     /// [`NO_COLLECTIVE`]. SPMD programs open collectives in the same
     /// order on every rank, so the running count is a cross-rank-aligned
@@ -130,41 +127,29 @@ impl RankClient {
             counters: RankCounters::default(),
             started_at: None,
             finished_at: None,
-            reqtrace: ReqRecorder::default(),
             active_collective: NO_COLLECTIVE,
             next_collective: 0,
         }
     }
 
-    /// Turn on request tracing for this rank: the port stamps outgoing
-    /// requests with trace ids and the rank records Issue/Done marks.
-    pub fn enable_request_trace(&mut self) {
-        self.port.set_trace(true);
-        self.reqtrace.enabled = true;
-    }
-
     /// Record the client-side Issue mark for an outgoing RPC.
     fn mark_issue(
-        &mut self,
-        me: u32,
+        &self,
+        ctx: &mut Ctx<'_, PfsMsg>,
         id: RequestId,
         op: ReqOp,
         file: FileId,
         bytes: u64,
-        at: SimTime,
     ) {
-        self.reqtrace.record(
-            tid_for(me, id),
-            me,
-            ReqMark::Issue {
-                rank: self.rank.0,
-                op,
-                file: file.0,
-                bytes,
-                collective: self.active_collective,
-                at,
-            },
-        );
+        let mark = ReqMark::Issue {
+            rank: self.rank.0,
+            op,
+            file: file.0,
+            bytes,
+            collective: self.active_collective,
+            at: ctx.now(),
+        };
+        ctx.trace(tid_for(ctx.me().0, id), mark);
     }
 
     /// Feed the streaming profile (always) and retain the full record if
@@ -261,8 +246,8 @@ impl RankClient {
                 }
                 Action::Meta { op, file } => {
                     let (hop, msg, id) = self.port.meta(op, file);
-                    if self.port.trace_enabled() {
-                        self.mark_issue(ctx.me().0, id, ReqOp::Meta(op), file, 0, ctx.now());
+                    if ctx.tracing() {
+                        self.mark_issue(ctx, id, ReqOp::Meta(op), file, 0);
                     }
                     self.pending.insert(id);
                     self.waiting = Waiting::Rpcs;
@@ -283,21 +268,13 @@ impl RankClient {
                         .port
                         .data(kind, file, offset, len)
                         .expect("data access to a file this rank never opened");
-                    let traced = self.port.trace_enabled();
                     let op = match kind {
                         IoKind::Read => ReqOp::Read,
                         IoKind::Write => ReqOp::Write,
                     };
                     for (hop, msg, id) in rpcs {
-                        if traced {
-                            self.mark_issue(
-                                ctx.me().0,
-                                id,
-                                op,
-                                file,
-                                payload_bytes(&msg),
-                                ctx.now(),
-                            );
+                        if ctx.tracing() {
+                            self.mark_issue(ctx, id, op, file, payload_bytes(&msg));
                         }
                         self.pending.insert(id);
                         ctx.send(hop, ctx.lookahead(), msg);
@@ -428,23 +405,20 @@ impl Entity<PfsMsg> for RankClient {
                 other => panic!("unknown timer token {other}"),
             },
             PfsMsg::MetaDone(rep) => {
-                self.reqtrace
-                    .record(rep.tid, ctx.me().0, ReqMark::Done { at: ctx.now() });
+                ctx.trace(rep.tid, ReqMark::Done { at: ctx.now() });
                 self.port.on_meta_reply(&rep);
                 if self.pending.remove(&rep.id) && self.pending.is_empty() {
                     self.complete_storage_action(ctx);
                 }
             }
             PfsMsg::IoDone(rep) => {
-                self.reqtrace
-                    .record(rep.tid, ctx.me().0, ReqMark::Done { at: ctx.now() });
+                ctx.trace(rep.tid, ReqMark::Done { at: ctx.now() });
                 if self.pending.remove(&rep.id) && self.pending.is_empty() {
                     self.complete_storage_action(ctx);
                 }
             }
             PfsMsg::ObjDone(rep) => {
-                self.reqtrace
-                    .record(rep.tid, ctx.me().0, ReqMark::Done { at: ctx.now() });
+                ctx.trace(rep.tid, ReqMark::Done { at: ctx.now() });
                 self.port.on_obj_reply(&rep);
                 if self.pending.remove(&rep.id) && self.pending.is_empty() {
                     self.complete_storage_action(ctx);

@@ -7,7 +7,7 @@
 //! unchanged against either backend, so PFS-vs-objstore becomes an
 //! evaluation axis rather than a code fork.
 
-use pioeval_des::{EntityId, ExecMode, RunResult};
+use pioeval_des::{EntityId, ExecMode, RunResult, Simulation};
 use pioeval_objstore::{ObjClientPort, ObjCluster};
 use pioeval_pfs::msg::PfsMsg;
 use pioeval_pfs::{ClientPort, Cluster, MetaReply, ObjReply, RequestId};
@@ -72,22 +72,6 @@ impl StoragePort {
             p.on_obj_reply(rep);
         }
     }
-
-    /// Enable or disable request-trace id emission on outgoing requests.
-    pub fn set_trace(&mut self, on: bool) {
-        match self {
-            StoragePort::Pfs(p) => p.set_trace(on),
-            StoragePort::Obj(p) => p.set_trace(on),
-        }
-    }
-
-    /// Is request-trace id emission enabled?
-    pub fn trace_enabled(&self) -> bool {
-        match self {
-            StoragePort::Pfs(p) => p.trace_enabled(),
-            StoragePort::Obj(p) => p.trace_enabled(),
-        }
-    }
 }
 
 /// A fully assembled storage backend for a job to run against.
@@ -136,22 +120,11 @@ impl StorageTarget {
         }
     }
 
-    /// Turn on request-trace recording in every infrastructure entity
-    /// (fabrics, servers, gateways). Client-side emission is enabled
-    /// separately via [`crate::enable_request_trace`].
-    pub fn enable_infra_trace(&mut self) {
+    /// The backend's simulation.
+    pub(crate) fn sim_mut(&mut self) -> &mut Simulation<PfsMsg> {
         match self {
-            StorageTarget::Pfs(c) => c.enable_request_trace(),
-            StorageTarget::ObjStore(c) => c.enable_request_trace(),
-        }
-    }
-
-    /// Drain the request-trace events recorded by the infrastructure
-    /// entities, in deterministic (entity-id) order.
-    pub fn drain_infra_trace(&mut self) -> Vec<pioeval_types::ReqEvent> {
-        match self {
-            StorageTarget::Pfs(c) => c.drain_request_events(),
-            StorageTarget::ObjStore(c) => c.drain_request_events(),
+            StorageTarget::Pfs(c) => &mut c.sim,
+            StorageTarget::ObjStore(c) => &mut c.sim,
         }
     }
 

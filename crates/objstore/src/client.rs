@@ -31,9 +31,6 @@ pub struct ObjClientPort {
     part_size: u64,
     sizes: HashMap<FileId, u64>,
     next_id: RequestId,
-    /// When set, outgoing requests carry a request-trace id derived from
-    /// `me` and the request id; when clear they carry the untraced `tid 0`.
-    trace: bool,
 }
 
 impl ObjClientPort {
@@ -53,18 +50,7 @@ impl ObjClientPort {
             part_size: part_size.max(1),
             sizes: HashMap::new(),
             next_id: 0,
-            trace: false,
         }
-    }
-
-    /// Enable or disable request-trace id emission on outgoing requests.
-    pub fn set_trace(&mut self, on: bool) {
-        self.trace = on;
-    }
-
-    /// Is request-trace id emission enabled?
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
     }
 
     fn fresh_id(&mut self) -> RequestId {
@@ -106,11 +92,7 @@ impl ObjClientPort {
             offset,
             len,
             part,
-            tid: if self.trace {
-                tid_for(self.me.0, id)
-            } else {
-                0
-            },
+            tid: tid_for(self.me.0, id),
         }
     }
 

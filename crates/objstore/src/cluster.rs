@@ -16,7 +16,7 @@ use pioeval_pfs::fabric::Fabric;
 use pioeval_pfs::oss::Oss;
 use pioeval_pfs::{PfsMsg, ServerStats};
 use pioeval_resil::{FailureKind, ResilienceReport, ResilienceStats};
-use pioeval_types::{ReqEvent, Result, SimDuration, SimTime};
+use pioeval_types::{Result, SimDuration, SimTime};
 
 /// Entity ids of the store's fixed infrastructure.
 #[derive(Clone, Debug)]
@@ -364,57 +364,6 @@ impl ObjCluster {
             get(self.handles.compute_fabric),
             get(self.handles.storage_fabric),
         )
-    }
-
-    /// Enable per-request trace recording on every infrastructure entity
-    /// (fabrics, shards, storage nodes, gateways). Client-side emission
-    /// is enabled separately via [`ObjClientPort::set_trace`] — both are
-    /// needed for a request to be traced end to end. Call before the run.
-    pub fn enable_request_trace(&mut self) {
-        for id in [self.handles.compute_fabric, self.handles.storage_fabric] {
-            if let Some(f) = self.sim.entity_mut::<Fabric>(id) {
-                f.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.shards.clone() {
-            if let Some(s) = self.sim.entity_mut::<MetaShard>(id) {
-                s.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.nodes.clone() {
-            if let Some(n) = self.sim.entity_mut::<Oss>(id) {
-                n.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.gateways.clone() {
-            if let Some(g) = self.sim.entity_mut::<Gateway>(id) {
-                g.reqtrace.enabled = true;
-            }
-        }
-    }
-
-    /// Drain the request-trace events recorded by all infrastructure
-    /// entities, in entity-id order (deterministic across executors —
-    /// each entity's recorder is only ever appended to by that entity).
-    pub fn drain_request_events(&mut self) -> Vec<ReqEvent> {
-        let mut out = Vec::new();
-        let mut ids = vec![self.handles.compute_fabric, self.handles.storage_fabric];
-        ids.extend(self.handles.shards.iter().copied());
-        ids.extend(self.handles.nodes.iter().copied());
-        ids.extend(self.handles.gateways.iter().copied());
-        ids.sort_by_key(|id| id.0);
-        for id in ids {
-            if let Some(f) = self.sim.entity_mut::<Fabric>(id) {
-                out.extend(f.reqtrace.drain());
-            } else if let Some(s) = self.sim.entity_mut::<MetaShard>(id) {
-                out.extend(s.reqtrace.drain());
-            } else if let Some(n) = self.sim.entity_mut::<Oss>(id) {
-                out.extend(n.reqtrace.drain());
-            } else if let Some(g) = self.sim.entity_mut::<Gateway>(id) {
-                out.extend(g.reqtrace.drain());
-            }
-        }
-        out
     }
 }
 

@@ -22,7 +22,7 @@ use pioeval_pfs::msg::route;
 use pioeval_pfs::{IoRequest, ObjReply, ObjRequest, ObjVerb, PfsMsg, RequestId, ServerStats};
 use pioeval_resil::{FailureKind, ResilienceStats};
 use pioeval_types::{
-    percentile_u64, tid_for, FileId, IoKind, ReqMark, ReqRecorder, ServerKind, SimDuration, SimTime,
+    percentile_u64, tid_for, FileId, IoKind, ReqMark, ServerKind, SimDuration, SimTime,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -134,8 +134,6 @@ pub struct Gateway {
     sole_bytes: HashMap<u32, u64>,
     /// Durability accounting for the resilience report.
     pub resil: ResilienceStats,
-    /// Per-request trace recorder (admission/fan-out marks).
-    pub reqtrace: ReqRecorder,
 }
 
 impl Gateway {
@@ -174,7 +172,6 @@ impl Gateway {
             failed: false,
             sole_bytes: HashMap::new(),
             resil: ResilienceStats::default(),
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -285,16 +282,13 @@ impl Gateway {
                     } else {
                         0
                     };
-                    if child_tid != 0 {
-                        self.reqtrace.record(
-                            req.tid,
-                            self.me.0,
-                            ReqMark::Spawn {
-                                child: child_tid,
-                                at: now,
-                            },
-                        );
-                    }
+                    ctx.trace(
+                        req.tid,
+                        ReqMark::Spawn {
+                            child: child_tid,
+                            at: now,
+                        },
+                    );
                     let io = IoRequest {
                         id,
                         reply_to: self.me,
@@ -340,16 +334,13 @@ impl Gateway {
                 } else {
                     0
                 };
-                if child_tid != 0 {
-                    self.reqtrace.record(
-                        req.tid,
-                        self.me.0,
-                        ReqMark::Spawn {
-                            child: child_tid,
-                            at: now,
-                        },
-                    );
-                }
+                ctx.trace(
+                    req.tid,
+                    ReqMark::Spawn {
+                        child: child_tid,
+                        at: now,
+                    },
+                );
                 let fwd = ObjRequest {
                     id,
                     reply_to: self.me,
@@ -469,9 +460,8 @@ impl Gateway {
         // The gateway's span covers the whole slot residency: slot wait
         // (queue), protocol processing, and the backend fan-out, which
         // the spawned children let the analyzer break down further.
-        self.reqtrace.record(
+        ctx.trace(
             req.tid,
-            self.me.0,
             ReqMark::Server {
                 kind: ServerKind::Gateway,
                 arrive: arrived,

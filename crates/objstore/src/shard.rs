@@ -12,7 +12,7 @@
 use pioeval_des::{Ctx, Entity, Envelope};
 use pioeval_pfs::msg::route;
 use pioeval_pfs::{ObjReply, ObjVerb, PfsMsg};
-use pioeval_types::{FileId, IoKind, ReqMark, ReqRecorder, ServerKind, SimDuration, SimTime};
+use pioeval_types::{FileId, IoKind, ReqMark, ServerKind, SimDuration, SimTime};
 use std::collections::HashMap;
 
 use crate::config::ShardConfig;
@@ -35,8 +35,6 @@ pub struct MetaShard {
     /// Aggregate service statistics (timeline lane 0 records one unit
     /// per verb in the write lane, mirroring the MDS convention).
     pub stats: pioeval_pfs::ServerStats,
-    /// Per-request trace recorder (KV-service marks for traced requests).
-    pub reqtrace: ReqRecorder,
 }
 
 impl MetaShard {
@@ -47,7 +45,6 @@ impl MetaShard {
             records: HashMap::new(),
             next_free: SimTime::ZERO,
             stats: pioeval_pfs::ServerStats::new(1, stats_bin),
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -109,9 +106,8 @@ impl Entity<PfsMsg> for MetaShard {
         self.stats.busy += cost;
         self.stats.timelines[0].record(completion, IoKind::Write, 1);
 
-        self.reqtrace.record(
+        ctx.trace(
             req.tid,
-            ctx.me().0,
             ReqMark::Server {
                 kind: ServerKind::Shard,
                 arrive: now,

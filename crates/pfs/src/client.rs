@@ -34,9 +34,6 @@ pub struct ClientPort {
     layouts: HashMap<FileId, Layout>,
     sizes: HashMap<FileId, u64>,
     next_id: RequestId,
-    /// When set, outgoing requests carry a request-trace id derived from
-    /// `me` and the request id; when clear they carry the untraced `tid 0`.
-    trace: bool,
 }
 
 impl ClientPort {
@@ -64,18 +61,7 @@ impl ClientPort {
             layouts: HashMap::new(),
             sizes: HashMap::new(),
             next_id: 0,
-            trace: false,
         }
-    }
-
-    /// Enable or disable request-trace id emission on outgoing requests.
-    pub fn set_trace(&mut self, on: bool) {
-        self.trace = on;
-    }
-
-    /// Is request-trace id emission enabled?
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
     }
 
     fn fresh_id(&mut self) -> RequestId {
@@ -83,13 +69,9 @@ impl ClientPort {
         self.next_id
     }
 
-    /// The trace id for request `id` (0 when tracing is off).
+    /// The request-trace id every outgoing request `id` carries.
     fn tid(&self, id: RequestId) -> u64 {
-        if self.trace {
-            tid_for(self.me.0, id)
-        } else {
-            0
-        }
+        tid_for(self.me.0, id)
     }
 
     /// The size this client believes `file` has (local view).

@@ -10,7 +10,7 @@ use crate::oss::Oss;
 use crate::stats::ServerStats;
 use pioeval_des::{EntityId, ExecMode, RunResult, SimConfig, Simulation};
 use pioeval_resil::{FailureKind, ResilienceReport, ResilienceStats};
-use pioeval_types::{IoOp, ReqEvent, Result, SimDuration, SimTime};
+use pioeval_types::{IoOp, Result, SimDuration, SimTime};
 
 /// Entity ids of the cluster's fixed infrastructure.
 #[derive(Clone, Debug)]
@@ -444,60 +444,6 @@ impl Cluster {
                     .stats
             })
             .collect()
-    }
-
-    /// Enable per-request trace recording on every infrastructure entity
-    /// (fabrics, MDSs, OSSs, I/O nodes). Client-side emission is enabled
-    /// separately via [`ClientPort::set_trace`] — both are needed for a
-    /// request to be traced end to end. Call before the run.
-    pub fn enable_request_trace(&mut self) {
-        let mut fabrics = vec![self.handles.compute_fabric, self.handles.storage_fabric];
-        fabrics.extend(self.handles.repl_fabric);
-        for id in fabrics {
-            if let Some(f) = self.sim.entity_mut::<Fabric>(id) {
-                f.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.mds.clone() {
-            if let Some(m) = self.sim.entity_mut::<MetadataServer>(id) {
-                m.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.oss.clone() {
-            if let Some(o) = self.sim.entity_mut::<Oss>(id) {
-                o.reqtrace.enabled = true;
-            }
-        }
-        for id in self.handles.ionodes.clone() {
-            if let Some(n) = self.sim.entity_mut::<IoNode>(id) {
-                n.reqtrace.enabled = true;
-            }
-        }
-    }
-
-    /// Drain the request-trace events recorded by all infrastructure
-    /// entities, in entity-id order (deterministic across executors —
-    /// each entity's recorder is only ever appended to by that entity).
-    pub fn drain_request_events(&mut self) -> Vec<ReqEvent> {
-        let mut out = Vec::new();
-        let mut ids = vec![self.handles.compute_fabric, self.handles.storage_fabric];
-        ids.extend(self.handles.repl_fabric);
-        ids.extend(self.handles.mds.iter().copied());
-        ids.extend(self.handles.oss.iter().copied());
-        ids.extend(self.handles.ionodes.iter().copied());
-        ids.sort_by_key(|id| id.0);
-        for id in ids {
-            if let Some(f) = self.sim.entity_mut::<Fabric>(id) {
-                out.extend(f.reqtrace.drain());
-            } else if let Some(m) = self.sim.entity_mut::<MetadataServer>(id) {
-                out.extend(m.reqtrace.drain());
-            } else if let Some(o) = self.sim.entity_mut::<Oss>(id) {
-                out.extend(o.reqtrace.drain());
-            } else if let Some(n) = self.sim.entity_mut::<IoNode>(id) {
-                out.extend(n.reqtrace.drain());
-            }
-        }
-        out
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::config::FabricConfig;
 use crate::msg::{payload_tid, PfsMsg};
 use pioeval_des::{Ctx, Entity, Envelope};
-use pioeval_types::{ReqMark, ReqRecorder, SimDuration, SimTime};
+use pioeval_types::{ReqMark, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Running transfer statistics for a fabric.
@@ -36,8 +36,6 @@ pub struct Fabric {
     agg_free: SimTime,
     /// Transfer statistics.
     pub stats: FabricStats,
-    /// Per-request trace recorder (hop marks for traced payloads).
-    pub reqtrace: ReqRecorder,
 }
 
 impl Fabric {
@@ -48,7 +46,6 @@ impl Fabric {
             egress_free: HashMap::new(),
             agg_free: SimTime::ZERO,
             stats: FabricStats::default(),
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -99,10 +96,9 @@ impl Entity<PfsMsg> for Fabric {
         self.stats.queue_wait += tx_start.since(now);
 
         let delivery = tx_end + self.cfg.latency;
-        if self.reqtrace.enabled {
-            self.reqtrace.record(
+        if ctx.tracing() {
+            ctx.trace(
                 payload_tid(&packet.payload),
-                ctx.me().0,
                 ReqMark::Hop {
                     arrive: now,
                     depart: delivery,

@@ -44,9 +44,7 @@ use crate::device::DeviceModel;
 use crate::msg::{route, IoReply, IoRequest, PfsMsg, ReplicaAck, ReplicaChunk, RequestId};
 use pioeval_des::{Ctx, Entity, EntityId, Envelope};
 use pioeval_resil::{AckMode, FailureKind, ResilienceStats};
-use pioeval_types::{
-    tid_for, FileId, IoKind, OstId, ReqMark, ReqRecorder, ServerKind, SimDuration, SimTime,
-};
+use pioeval_types::{tid_for, FileId, IoKind, OstId, ReqMark, ServerKind, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A unit of data awaiting drain to the PFS. `token` links the drain
@@ -176,8 +174,6 @@ pub struct IoNode {
     pub stats: BurstBufferStats,
     /// Durability accounting for the resilience report.
     pub resil: ResilienceStats,
-    /// Per-request trace recorder (buffer-service and forwarding marks).
-    pub reqtrace: ReqRecorder,
 }
 
 impl IoNode {
@@ -221,7 +217,6 @@ impl IoNode {
             takeover_started: SimTime::ZERO,
             stats: BurstBufferStats::default(),
             resil: ResilienceStats::default(),
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -360,16 +355,13 @@ impl IoNode {
             } else {
                 0
             };
-            if child_tid != 0 {
-                self.reqtrace.record(
-                    req.tid,
-                    ctx.me().0,
-                    ReqMark::Spawn {
-                        child: child_tid,
-                        at: ctx.now(),
-                    },
-                );
-            }
+            ctx.trace(
+                req.tid,
+                ReqMark::Spawn {
+                    child: child_tid,
+                    at: ctx.now(),
+                },
+            );
             let chunk = ReplicaChunk {
                 id,
                 reply_to: ctx.me(),
@@ -470,16 +462,13 @@ impl IoNode {
         } else {
             0
         };
-        if child_tid != 0 {
-            self.reqtrace.record(
-                req.tid,
-                ctx.me().0,
-                ReqMark::Spawn {
-                    child: child_tid,
-                    at: now,
-                },
-            );
-        }
+        ctx.trace(
+            req.tid,
+            ReqMark::Spawn {
+                child: child_tid,
+                at: now,
+            },
+        );
         let oss = self.ost_route[req.ost.index()];
         let fwd = IoRequest {
             id,
@@ -575,9 +564,8 @@ impl Entity<PfsMsg> for IoNode {
                         let queue_delay = self.ssd.queue_delay(now);
                         let completion =
                             self.ssd.access(now, IoKind::Write, req.obj_offset, req.len);
-                        self.reqtrace.record(
+                        ctx.trace(
                             req.tid,
-                            ctx.me().0,
                             ReqMark::Server {
                                 kind: ServerKind::IoNodeSsd,
                                 arrive: now,
@@ -633,9 +621,8 @@ impl Entity<PfsMsg> for IoNode {
                         let queue_delay = self.ssd.queue_delay(now);
                         let completion =
                             self.ssd.access(now, IoKind::Read, req.obj_offset, req.len);
-                        self.reqtrace.record(
+                        ctx.trace(
                             req.tid,
-                            ctx.me().0,
                             ReqMark::Server {
                                 kind: ServerKind::IoNodeSsd,
                                 arrive: now,
@@ -716,9 +703,8 @@ impl Entity<PfsMsg> for IoNode {
                         // request; the spawned child's own marks let the
                         // analyzer re-attribute this span into fabric /
                         // queue / device portions.
-                        self.reqtrace.record(
+                        ctx.trace(
                             orig.tid,
-                            ctx.me().0,
                             ReqMark::Server {
                                 kind: ServerKind::IoNodeSsd,
                                 arrive: arrived,
@@ -782,9 +768,8 @@ impl Entity<PfsMsg> for IoNode {
                 let completion = self
                     .ssd
                     .access(now, IoKind::Write, chunk.obj_offset, chunk.len);
-                self.reqtrace.record(
+                ctx.trace(
                     chunk.tid,
-                    ctx.me().0,
                     ReqMark::Server {
                         kind: ServerKind::Replica,
                         arrive: now,

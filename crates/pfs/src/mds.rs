@@ -12,9 +12,7 @@ use crate::msg::{route, MetaReply, PfsMsg, HEADER_BYTES};
 use crate::stats::{OstTimeline, ServerStats};
 use crate::striping::Layout;
 use pioeval_des::{Ctx, Entity, Envelope};
-use pioeval_types::{
-    FileId, IoKind, MetaOp, ReqMark, ReqRecorder, ServerKind, SimDuration, SimTime,
-};
+use pioeval_types::{FileId, IoKind, MetaOp, ReqMark, ServerKind, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Per-file namespace entry.
@@ -59,8 +57,6 @@ pub struct MetadataServer {
     pub events: Vec<MetaEvent>,
     /// Whether to retain the event stream (large runs may disable it).
     pub record_events: bool,
-    /// Per-request trace recorder (metadata-service marks for traced requests).
-    pub reqtrace: ReqRecorder,
 }
 
 impl MetadataServer {
@@ -82,7 +78,6 @@ impl MetadataServer {
             stats: ServerStats::new(1, stats_bin),
             events: Vec::new(),
             record_events: true,
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -197,9 +192,8 @@ impl Entity<PfsMsg> for MetadataServer {
             });
         }
 
-        self.reqtrace.record(
+        ctx.trace(
             req.tid,
-            ctx.me().0,
             ReqMark::Server {
                 kind: ServerKind::Mds,
                 arrive: now,

@@ -15,7 +15,7 @@ use pioeval_types::{FileId, IoKind, MetaOp, OstId, SimDuration};
 pub type RequestId = u64;
 
 /// A globally-unique request-trace id ([`pioeval_types::reqtrace`]);
-/// `0` means the request is untraced and all recording is skipped.
+/// `0` marks internal traffic no client issued, whose marks are dropped.
 pub type Tid = u64;
 
 /// Fixed protocol header size added to every message, bytes.
@@ -40,7 +40,7 @@ pub struct IoRequest {
     pub obj_offset: u64,
     /// Transfer length in bytes.
     pub len: u64,
-    /// Request-trace id (0 = untraced), echoed in the reply.
+    /// Request-trace id (0 = internal traffic), echoed in the reply.
     pub tid: Tid,
 }
 
@@ -72,7 +72,7 @@ pub struct IoReply {
     pub from_burst_buffer: bool,
     /// Time the request spent queued at the serving device.
     pub queue_delay: SimDuration,
-    /// Echoed request-trace id (0 = untraced).
+    /// Echoed request-trace id (0 = internal traffic).
     pub tid: Tid,
 }
 
@@ -102,7 +102,7 @@ pub struct MetaRequest {
     /// Size observed by the client (applied on `Close`/`Fsync`, mirroring
     /// Lustre's lazy size-on-MDS update).
     pub size_hint: u64,
-    /// Request-trace id (0 = untraced), echoed in the reply.
+    /// Request-trace id (0 = internal traffic), echoed in the reply.
     pub tid: Tid,
 }
 
@@ -121,7 +121,7 @@ pub struct MetaReply {
     pub size: u64,
     /// Time the request spent queued at the MDS.
     pub queue_delay: SimDuration,
-    /// Echoed request-trace id (0 = untraced).
+    /// Echoed request-trace id (0 = internal traffic).
     pub tid: Tid,
 }
 
@@ -174,7 +174,7 @@ pub struct ObjRequest {
     pub len: u64,
     /// Part number for `PutPart` (offset / part size).
     pub part: u32,
-    /// Request-trace id (0 = untraced), echoed in the reply.
+    /// Request-trace id (0 = internal traffic), echoed in the reply.
     pub tid: Tid,
 }
 
@@ -204,7 +204,7 @@ pub struct ObjReply {
     pub size: u64,
     /// Time the request waited in the gateway's bounded queue.
     pub queue_delay: SimDuration,
-    /// Echoed request-trace id (0 = untraced).
+    /// Echoed request-trace id (0 = internal traffic).
     pub tid: Tid,
 }
 
@@ -239,7 +239,7 @@ pub struct ReplicaChunk {
     pub obj_offset: u64,
     /// Chunk length in bytes.
     pub len: u64,
-    /// Request-trace id of the replication leg (0 = untraced).
+    /// Request-trace id of the replication leg (0 = internal traffic).
     pub tid: Tid,
 }
 
@@ -260,7 +260,7 @@ pub struct ReplicaAck {
     /// False when the peer was itself failed and dropped the copy; the
     /// primary must not count the chunk as replicated.
     pub stored: bool,
-    /// Echoed request-trace id (0 = untraced).
+    /// Echoed request-trace id (0 = internal traffic).
     pub tid: Tid,
 }
 
@@ -361,8 +361,8 @@ pub fn route(via: &[EntityId], dst: EntityId, size: u64, msg: PfsMsg) -> (Entity
 }
 
 /// The request-trace id carried by `msg`, looking through any nested
-/// `Route` wrapping to the innermost request/reply. Returns 0 (untraced)
-/// for messages that carry no request.
+/// `Route` wrapping to the innermost request/reply. Returns 0 (internal
+/// traffic) for messages that carry no request.
 pub fn payload_tid(msg: &PfsMsg) -> Tid {
     match msg {
         PfsMsg::Route(p) => payload_tid(&p.payload),

@@ -9,7 +9,7 @@ use crate::device::DeviceModel;
 use crate::msg::{route, IoReply, PfsMsg};
 use crate::stats::ServerStats;
 use pioeval_des::{Ctx, Entity, Envelope};
-use pioeval_types::{OstId, ReqMark, ReqRecorder, ServerKind, SimDuration};
+use pioeval_types::{OstId, ReqMark, ServerKind, SimDuration};
 use std::collections::HashMap;
 
 /// One pending device access awaiting its completion event.
@@ -28,8 +28,6 @@ pub struct Oss {
     next_token: u64,
     /// Aggregate service statistics (one timeline lane per OST).
     pub stats: ServerStats,
-    /// Per-request trace recorder (device-service marks for traced requests).
-    pub reqtrace: ReqRecorder,
 }
 
 impl Oss {
@@ -53,7 +51,6 @@ impl Oss {
             pending: HashMap::new(),
             next_token: 0,
             stats: ServerStats::new(count, stats_bin),
-            reqtrace: ReqRecorder::default(),
         }
     }
 
@@ -93,9 +90,8 @@ impl Entity<PfsMsg> for Oss {
                 self.stats.requests += 1;
                 self.stats.queue_wait += queue_delay;
                 self.stats.timelines[local].record(completion, req.kind, req.len);
-                self.reqtrace.record(
+                ctx.trace(
                     req.tid,
-                    ctx.me().0,
                     ReqMark::Server {
                         kind: ServerKind::OssDevice,
                         arrive: now,

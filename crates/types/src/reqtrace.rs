@@ -3,11 +3,11 @@
 //! The request tracer follows each client-issued storage RPC through the
 //! whole modeled stack — client issue, fabric hops, server queues and
 //! device service — in *simulated* time (as opposed to the wall-clock
-//! self-telemetry in `pioeval-obs`). Every entity on the path owns a
-//! private [`ReqRecorder`] it appends to while handling its own events,
-//! so recording is contention-free on the parallel DES hot path; the
-//! per-entity buffers are drained and merged deterministically after the
-//! run (see `pioeval-reqtrace` for assembly and analytics).
+//! self-telemetry in `pioeval-obs`). The DES engine keeps one
+//! [`ReqRecorder`] per entity and appends to it only while that entity
+//! handles its own events, so recording is contention-free on the
+//! parallel DES hot path; the engine drains the buffers in entity order
+//! after the run (see `pioeval-reqtrace` for assembly and analytics).
 //!
 //! This module is the shared *vocabulary* only: it has no dependency on
 //! the DES engine, so entity identity is carried as a raw `u32`.
@@ -19,9 +19,9 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Wire-level `RequestId`s are only unique per requester, so the tracer
 /// widens them: `tid = ((owner_entity + 1) << 32) | request_id`
-/// ([`tid_for`]). `tid == 0` means *untraced* — servers and fabrics
-/// skip all recording work for such requests, which is what keeps the
-/// tracer's disabled-path overhead near zero.
+/// ([`tid_for`]). Client ports stamp every request they issue;
+/// `tid == 0` marks internal traffic no client issued (write-back
+/// flushes, replication copies), whose marks a recorder drops.
 pub type Tid = u64;
 
 /// Sentinel collective index for "not part of a collective".
@@ -235,24 +235,23 @@ pub struct ReqEvent {
 
 /// A per-entity request-trace buffer.
 ///
-/// Each DES entity owns exactly one recorder and only appends from its
-/// own `on_event` — no locks, no sharing, so the parallel executor pays
-/// nothing for tracing beyond the per-entity appends themselves. When
-/// disabled (the default), [`ReqRecorder::record`] is a single branch.
+/// The DES engine keeps exactly one recorder per entity and appends to
+/// it only from that entity's `on_event` — no locks, no sharing, so the
+/// parallel executor pays nothing for tracing beyond the per-entity
+/// appends themselves. Whether anything is recorded at all is the
+/// engine's switch, not the recorder's.
 #[derive(Clone, Debug, Default)]
 pub struct ReqRecorder {
-    /// Whether this recorder keeps events (set at trace enablement).
-    pub enabled: bool,
     /// Recorded events, in recording order.
     pub events: Vec<ReqEvent>,
     seq: u32,
 }
 
 impl ReqRecorder {
-    /// Append `mark` for `tid` as observed by `entity`. No-op when the
-    /// recorder is disabled or the request is untraced (`tid == 0`).
+    /// Append `mark` for `tid` as observed by `entity`. No-op for
+    /// internal traffic (`tid == 0`).
     pub fn record(&mut self, tid: Tid, entity: u32, mark: ReqMark) {
-        if !self.enabled || tid == 0 {
+        if tid == 0 {
             return;
         }
         self.events.push(ReqEvent {
@@ -311,11 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_drops_everything() {
+    fn recorder_drops_internal_traffic_and_drains() {
         let mut rec = ReqRecorder::default();
-        rec.record(1, 0, ReqMark::Done { at: SimTime::ZERO });
-        assert!(rec.events.is_empty());
-        rec.enabled = true;
         rec.record(0, 0, ReqMark::Done { at: SimTime::ZERO });
         assert!(rec.events.is_empty(), "tid 0 stays untraced");
         rec.record(1, 0, ReqMark::Done { at: SimTime::ZERO });

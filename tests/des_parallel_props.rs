@@ -210,57 +210,83 @@ proptest! {
 
     /// Request traces are executor-independent: the serialized JSONL
     /// from a sequential traced run is byte-identical to every parallel
-    /// configuration's, on both storage targets. (Per-entity recorders
-    /// are only appended by their own entity, and the finalize-time
-    /// merge drains entities in a fixed order — so not just the set of
+    /// configuration's, on each of three targets: the PFS, the PFS behind
+    /// two burst-buffer I/O nodes with geographic acks (I/O-node spawns
+    /// and replication-fabric hops), and the object store. (Each
+    /// entity's recorder is only appended by that entity, and the
+    /// engine drains entities in ascending id — so not just the set of
     /// marks but the entire document must match.)
     #[test]
     fn request_traces_identical_across_executors(
         ranks in 1u32..4,
         seed in 0u64..1 << 16,
         threads in 2usize..=4,
-        objstore in proptest::bool::ANY,
+        backend in prop::sample::select(vec![Backend::Cooperative, Backend::Threads]),
         policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
     ) {
         use pioeval::core::{measure_target_traced, TargetConfig};
         use pioeval::des::ExecMode;
         use pioeval::prelude::*;
+        use pioeval::resil::{AckMode, ResilConfig};
 
         let source = WorkloadSource::Synthetic(Box::new(IorLike::default()));
-        let target = if objstore {
-            TargetConfig::ObjStore(pioeval::objstore::ObjStoreConfig {
-                num_clients: 8,
-                ..Default::default()
-            })
-        } else {
+        let burst_buffer = TargetConfig::Pfs(ClusterConfig {
+            num_clients: 8,
+            num_ionodes: 2,
+            resil: Some(ResilConfig {
+                ack_mode: AckMode::Geographic,
+                ..ResilConfig::default()
+            }),
+            ..Default::default()
+        });
+        // Replica legs cross the replication fabric: their hops must
+        // reach the traced requests.
+        let repl_fabric = match burst_buffer.build().expect("burst-buffer target builds") {
+            pioeval::iostack::StorageTarget::Pfs(c) => c.handles.repl_fabric,
+            pioeval::iostack::StorageTarget::ObjStore(_) => None,
+        }
+        .expect("geographic acks wire a replication fabric");
+        let repl_hop = format!(r#"{{"entity":{},"label":"fabric""#, repl_fabric.0);
+        let targets = [
             TargetConfig::Pfs(ClusterConfig {
                 num_clients: 8,
                 ..Default::default()
-            })
-        };
-        let trace_of = |exec: &ExecMode| {
-            let report = measure_target_traced(
-                &target,
-                &source,
-                ranks,
-                StackConfig::default(),
-                seed,
-                exec,
-                true,
-            )
-            .expect("traced measurement");
-            let asm = report.requests.expect("assembly");
-            (asm.requests.len(), pioeval::reqtrace::write_jsonl(&asm.requests, asm.incomplete))
-        };
-        let (seq_n, seq_doc) = trace_of(&ExecMode::Sequential);
-        prop_assert!(seq_n > 0, "no requests traced");
+            }),
+            burst_buffer,
+            TargetConfig::ObjStore(pioeval::objstore::ObjStoreConfig {
+                num_clients: 8,
+                ..Default::default()
+            }),
+        ];
         let cfg = ParallelConfig {
             threads,
+            backend,
             window: policy,
             ..ParallelConfig::default()
         };
-        let (_, par_doc) = trace_of(&ExecMode::Parallel(cfg));
-        prop_assert_eq!(seq_doc, par_doc, "request trace diverged across executors");
+        for (i, target) in targets.iter().enumerate() {
+            let trace_of = |exec: &ExecMode| {
+                let report = measure_target_traced(
+                    target,
+                    &source,
+                    ranks,
+                    StackConfig::default(),
+                    seed,
+                    exec,
+                    true,
+                )
+                .expect("traced measurement");
+                let asm = report.requests.expect("assembly");
+                (asm.requests.len(), pioeval::reqtrace::write_jsonl(&asm.requests, asm.incomplete))
+            };
+            let (seq_n, seq_doc) = trace_of(&ExecMode::Sequential);
+            prop_assert!(seq_n > 0, "target {i}: no requests traced");
+            if i == 1 {
+                prop_assert!(seq_doc.contains(&repl_hop), "no replication-fabric hops");
+            }
+            let (_, par_doc) = trace_of(&ExecMode::Parallel(cfg.clone()));
+            prop_assert_eq!(seq_doc, par_doc, "target {}: request trace diverged across executors", i);
+        }
     }
 }
 
