@@ -34,8 +34,8 @@ pub use campaign::{
 };
 pub use pipeline::{
     measure, measure_target, measure_target_instrumented, measure_target_traced,
-    measure_target_with_exec, measure_with_exec, profile_entity_counts, EvaluationLoop,
-    LoopIteration, MeasurementReport, TargetConfig,
+    measure_target_with_exec, measure_with_exec, EvaluationLoop, LoopIteration, MeasurementReport,
+    TargetConfig,
 };
 pub use report::{bar_chart, sparkline, Table};
 pub use source::WorkloadSource;

@@ -11,7 +11,7 @@
 use crate::source::WorkloadSource;
 use pioeval_des::ExecMode;
 use pioeval_iostack::{
-    collect_on, drain_request_events, enable_request_trace, launch, launch_on, JobResult, JobSpec,
+    collect_on, drain_request_events, enable_request_trace, launch_on, JobResult, JobSpec,
     StackConfig, StorageTarget,
 };
 use pioeval_monitor::SystemAnalysis;
@@ -300,31 +300,6 @@ pub fn measure_target_instrumented(
     })
 }
 
-/// Profile a workload's per-entity event counts with one sequential
-/// warmup trip: build the same cluster and job that [`measure_with_exec`]
-/// would, run it with [`pioeval_des::Simulation::run_counted`], and
-/// return the counts. Feed the result to
-/// `pioeval_des::Partitioner::greedy_from_counts` so a subsequent
-/// parallel measurement places hot entities (busy OSTs, the MDS) on
-/// separate workers.
-pub fn profile_entity_counts(
-    cluster_cfg: &ClusterConfig,
-    source: &WorkloadSource,
-    nranks: u32,
-    stack: StackConfig,
-    seed: u64,
-) -> Result<Vec<u64>> {
-    let mut cluster = Cluster::new(cluster_cfg.clone())?;
-    let spec = JobSpec {
-        programs: source.programs(nranks, seed),
-        stack,
-        start: SimTime::ZERO,
-    };
-    let _handle = launch(&mut cluster, &spec);
-    let (_res, counts) = cluster.run_counted();
-    Ok(counts)
-}
-
 /// One iteration of the closed loop.
 pub struct LoopIteration {
     /// Which source kind drove this iteration.
@@ -514,16 +489,13 @@ mod tests {
 
     #[test]
     fn parallel_executor_reproduces_measurement() {
-        use pioeval_des::{Backend, ParallelConfig, Partitioner};
+        use pioeval_des::{Backend, ParallelConfig};
         let source = WorkloadSource::Synthetic(Box::new(small_ior()));
         let stack = StackConfig::default;
         let seq = measure(&small_cluster(), &source, 4, stack(), 1).unwrap();
-        let counts = profile_entity_counts(&small_cluster(), &source, 4, stack(), 1).unwrap();
-        assert!(counts.iter().sum::<u64>() > 0);
         for backend in [Backend::Threads, Backend::Cooperative] {
             let exec = ExecMode::Parallel(ParallelConfig {
                 threads: 3,
-                partitioner: Partitioner::greedy_from_counts(&counts),
                 backend,
                 ..ParallelConfig::default()
             });

@@ -11,10 +11,10 @@
 //! * [`Simulation::run`] — the sequential executor: a single event queue,
 //!   events processed in global key order.
 //! * [`parallel::run_parallel`] — a conservative (YAWNS-style)
-//!   barrier-synchronized parallel executor: entities are partitioned
-//!   across threads, and each synchronization window processes all events
-//!   with timestamps below the global lower bound plus the configured
-//!   *lookahead*.
+//!   barrier-synchronized parallel executor: entities are dealt
+//!   round-robin across threads, and each synchronization window
+//!   processes all events below a per-worker horizon built from the
+//!   workers' next-event times and the *lookahead*.
 //!
 //! **Determinism.** Events are totally ordered by
 //! `(time, destination, source, per-source sequence number)`. All of these

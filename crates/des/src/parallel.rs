@@ -1,27 +1,25 @@
 //! Conservative parallel executor (barrier-synchronized, YAWNS-style).
 //!
-//! Entities are partitioned across workers by a pluggable [`Partitioner`].
-//! Execution proceeds in *windows*: each window processes every pending
-//! event with a timestamp strictly below a per-worker horizon derived from
-//! the global minimum next-event time and the engine lookahead. Because
-//! cross-entity messages carry at least the lookahead of delay, no event
-//! generated inside a window can be destined for delivery inside that
-//! window on another worker — the classical conservative-synchronization
-//! safety argument.
+//! Entity `i` runs on worker `i % threads`. Execution proceeds in
+//! *windows*: each window processes every pending event with a timestamp
+//! strictly below a per-worker horizon derived from the workers'
+//! next-event times and the engine lookahead. Because cross-entity
+//! messages carry at least the lookahead of delay, no event generated
+//! inside a window can be destined for delivery inside that window on
+//! another worker — the classical conservative-synchronization safety
+//! argument.
 //!
-//! Two refinements over the textbook algorithm, both tunable through
-//! [`ParallelConfig`]:
+//! Two refinements over the textbook algorithm:
 //!
-//! * **Adaptive window widening** ([`WindowPolicy::Adaptive`]): worker *i*
-//!   does not stop at the fixed horizon `T + lookahead` (`T` = global
-//!   minimum). The earliest event another worker *j* can deliver to *i* is
-//!   bounded below by `next_j + lookahead` (a direct send), and the
-//!   earliest *reflected* event — *i* sends to some *j*, which reacts and
-//!   sends back — by `next_i + 2·lookahead`. So
-//!   `H_i = min(min_{j≠i}(next_j) + la, next_i + 2·la)` is a safe horizon,
-//!   and it fuses many lookahead quanta into one barrier crossing whenever
-//!   the other workers' clocks have run ahead. With a single worker there
-//!   is no cross-worker hazard at all and the horizon is unbounded.
+//! * **Adaptive horizons**: worker *i* does not stop at the fixed horizon
+//!   `T + lookahead` (`T` = global minimum). The earliest event another
+//!   worker *j* can deliver to *i* is bounded below by `next_j +
+//!   lookahead` (a direct send), and the earliest *reflected* event — *i*
+//!   sends to some *j*, which reacts and sends back — by `next_i +
+//!   2·lookahead`. So `H_i = min(min_{j≠i}(next_j) + la, next_i + 2·la)`
+//!   is a safe horizon, and it fuses many lookahead quanta into one
+//!   barrier crossing whenever the other workers' clocks have run ahead.
+//!   When all workers' clocks are tied it is exactly the fixed window.
 //! * **One barrier per window**: the min-reduction for the next window and
 //!   the mailbox hand-off share a generation. Every worker publishes its
 //!   next-event lower bound, its pending-count delta, and the minimum
@@ -35,14 +33,15 @@
 //! Within a window each worker drains its local heap in
 //! [`crate::event::EventKey`] order; the key depends only on the sending
 //! action, so every entity observes its events in exactly the order the
-//! sequential executor would deliver them, for any thread count, any
-//! window policy, and any partitioner. `tests` assert this equivalence
-//! over the whole configuration matrix.
+//! sequential executor would deliver them, for any thread count and
+//! either backend. `tests` assert this equivalence over the whole
+//! configuration matrix.
 //!
-//! On hosts without real hardware parallelism (or when one worker is
-//! requested) [`Backend::Auto`] selects a *cooperative* backend that runs
-//! the same window protocol on the calling thread with direct mailbox
-//! delivery — no barriers, no atomics — analogous to ROSS's serial mode.
+//! One worker is the sequential executor: [`run_parallel`] then calls
+//! [`Simulation::run`]. With more, [`Backend::Auto`] selects on a
+//! single-core host a *cooperative* backend that runs the same window
+//! protocol on the calling thread with direct mailbox delivery — no
+//! barriers, no atomics — analogous to ROSS's serial mode.
 
 use crate::event::Envelope;
 use crate::queue::EventQueue;
@@ -65,88 +64,37 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How the executor chooses each window's per-worker horizon.
+/// How the executor chooses each window's per-worker horizon: always the
+/// adaptive bound described in the module docs. The type has one value
+/// and exists so that `ParallelConfig { window: WindowPolicy::Adaptive,
+/// .. }` literals keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WindowPolicy {
-    /// Classic conservative window: every worker processes events strictly
-    /// below `T + lookahead`, where `T` is the global minimum next-event
-    /// time. Predictable, and the right choice when event density per
-    /// window is already high.
-    Fixed,
-    /// Widen each worker's horizon to its earliest-possible-input bound
-    /// `min(min_{j≠i}(next_j) + la, next_i + 2·la)`, fusing lookahead
-    /// quanta into one barrier crossing when the workload is sparse or
-    /// skewed. Falls back to exactly the fixed window when all workers'
-    /// clocks are tied. The default.
+    /// `min(min_{j≠i}(next_j) + la, next_i + 2·la)` per worker.
     #[default]
     Adaptive,
 }
 
-/// Strategy assigning entities (LPs) to workers.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// How entities (LPs) are assigned to workers: always round-robin. The
+/// type has one value and exists so that `ParallelConfig { partitioner:
+/// Partitioner::RoundRobin, .. }` literals keep compiling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Partitioner {
-    /// Entity `i` goes to worker `i % threads`. Good when neighbouring
-    /// ids have similar load; the default.
+    /// Entity `i` goes to worker `i % threads`.
     #[default]
     RoundRobin,
-    /// Contiguous chunks of `ceil(n / threads)` ids per worker. Preserves
-    /// id locality; trailing workers may own fewer (or zero) entities.
-    Block,
-    /// Profile-guided greedy bin-packing (longest-processing-time): sort
-    /// entities by observed event count descending and place each on the
-    /// least-loaded worker. Feed it per-entity counts from
-    /// [`Simulation::run_counted`] on a warmup window or a prior run; see
-    /// `des.par.thread_busy_us` to judge the resulting balance. Entities
-    /// beyond the profile's length get weight 1.
-    Greedy(Vec<u64>),
 }
 
-impl Partitioner {
-    /// A [`Partitioner::Greedy`] fed by per-entity event counts, e.g. the
-    /// second element of [`Simulation::run_counted`].
-    pub fn greedy_from_counts(counts: &[u64]) -> Self {
-        Partitioner::Greedy(counts.to_vec())
-    }
-
-    /// Owner worker for each of `entities` ids, given `threads` workers.
-    /// Deterministic for a given input (ties in `Greedy` resolve to the
-    /// lowest worker id).
-    pub fn assign(&self, entities: usize, threads: usize) -> Vec<u32> {
-        let threads = threads.max(1);
-        match self {
-            Partitioner::RoundRobin => (0..entities).map(|i| (i % threads) as u32).collect(),
-            Partitioner::Block => {
-                let chunk = entities.div_ceil(threads).max(1);
-                (0..entities).map(|i| (i / chunk) as u32).collect()
-            }
-            Partitioner::Greedy(counts) => {
-                let weight = |i: usize| counts.get(i).copied().unwrap_or(0) + 1;
-                let mut order: Vec<usize> = (0..entities).collect();
-                order.sort_by_key(|&i| (std::cmp::Reverse(weight(i)), i));
-                let mut load = vec![0u64; threads];
-                let mut owners = vec![0u32; entities];
-                for i in order {
-                    let mut best = 0usize;
-                    for (tid, &l) in load.iter().enumerate().skip(1) {
-                        if l < load[best] {
-                            best = tid;
-                        }
-                    }
-                    owners[i] = best as u32;
-                    load[best] += weight(i);
-                }
-                owners
-            }
-        }
-    }
+/// Owner worker of each of `entities` ids under round-robin assignment.
+fn round_robin(entities: usize, threads: usize) -> Vec<u32> {
+    (0..entities).map(|i| (i % threads) as u32).collect()
 }
 
 /// Which execution backend carries the window protocol.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Pick per host: [`Backend::Cooperative`] when only one hardware
-    /// core is available or one worker is requested, [`Backend::Threads`]
-    /// otherwise. The default.
+    /// core is available, [`Backend::Threads`] otherwise. The default.
     #[default]
     Auto,
     /// One OS thread per worker with spin-barrier synchronization.
@@ -170,13 +118,13 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn resolve(self, threads: usize) -> Backend {
+    fn resolve(self) -> Backend {
         match self {
             Backend::Auto => {
                 let cores = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                if threads == 1 || cores == 1 {
+                if cores == 1 {
                     Backend::Cooperative
                 } else {
                     Backend::Threads
@@ -188,7 +136,7 @@ impl Backend {
 }
 
 /// Parallel executor configuration.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelConfig {
     /// Number of workers (clamped to `1..=entities`). Zero means 1.
     pub threads: usize,
@@ -213,7 +161,7 @@ impl ParallelConfig {
 /// How to execute a simulation: inline sequential, or parallel with a
 /// given [`ParallelConfig`]. Carried by callers (CLI, pipeline) that are
 /// generic over the executor choice.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub enum ExecMode {
     /// [`Simulation::run`] on the calling thread.
     #[default]
@@ -494,35 +442,18 @@ struct ExecStats {
     demoted: bool,
 }
 
-/// Per-worker horizon for one window. Returns `(horizon, widened)`;
-/// events strictly below the horizon are safe to process. `t` is the
-/// global minimum next-event time, `la` the effective lookahead in nanos
-/// (≥ 1), `my_next`/`others_min` this worker's and the other workers'
-/// minimum next-event times (both including in-flight mail).
-fn horizon(
-    policy: WindowPolicy,
-    threads: usize,
-    my_next: u64,
-    others_min: u64,
-    t: u64,
-    la: u64,
-    stop_at: Option<u64>,
-) -> (u64, bool) {
-    let fixed = t.saturating_add(la);
-    let (mut h, wide) = match policy {
-        WindowPolicy::Fixed => (fixed, false),
-        WindowPolicy::Adaptive => {
-            let h = if threads == 1 {
-                // No other worker can inject events: run to completion.
-                u64::MAX
-            } else {
-                let direct = others_min.saturating_add(la);
-                let reflected = my_next.saturating_add(la.saturating_mul(2));
-                direct.min(reflected)
-            };
-            (h, h > fixed)
-        }
-    };
+/// Per-worker horizon for one window (two or more workers). Returns
+/// `(horizon, widened)`; events strictly below the horizon are safe to
+/// process, and `widened` says the horizon lies past the fixed window
+/// `t + la`. `t` is the global minimum next-event time, `la` the
+/// effective lookahead in nanos (≥ 1), `my_next`/`others_min` this
+/// worker's and the other workers' minimum next-event times (both
+/// including in-flight mail).
+fn horizon(my_next: u64, others_min: u64, t: u64, la: u64, stop_at: Option<u64>) -> (u64, bool) {
+    let direct = others_min.saturating_add(la);
+    let reflected = my_next.saturating_add(la.saturating_mul(2));
+    let mut h = direct.min(reflected);
+    let wide = h > t.saturating_add(la);
     if let Some(limit) = stop_at {
         // Events at exactly `limit` are still processed.
         h = h.min(limit.saturating_add(1));
@@ -628,29 +559,15 @@ fn run_parallel_inner<M: Send + 'static>(
         obs.counter(pioeval_obs::names::DES_PAR_RUNS_COOP).inc();
         return (res, None);
     }
-    let backend = cfg.backend.resolve(threads);
+    let backend = cfg.backend.resolve();
     let lookahead = sim.lookahead();
     let stop_at = sim.config().time_limit.map(SimTime::as_nanos);
-    let owners = cfg.partitioner.assign(n, threads);
+    let owners = round_robin(n, threads);
     let mut workers = checkout(sim, &owners, threads);
 
     let (stats, worker_profiles) = match backend {
-        Backend::Cooperative => run_cooperative(
-            cfg.window,
-            lookahead,
-            stop_at,
-            &owners,
-            &mut workers,
-            profile,
-        ),
-        _ => run_threaded(
-            cfg.window,
-            lookahead,
-            stop_at,
-            &owners,
-            &mut workers,
-            profile,
-        ),
+        Backend::Cooperative => run_cooperative(lookahead, stop_at, &owners, &mut workers, profile),
+        _ => run_threaded(lookahead, stop_at, &owners, &mut workers, profile),
     };
     let (events, end_max) = checkin(sim, &mut workers);
 
@@ -694,17 +611,8 @@ fn run_parallel_inner<M: Send + 'static>(
             _ => "threads",
         }
         .to_string(),
-        window_policy: match cfg.window {
-            WindowPolicy::Fixed => "fixed",
-            WindowPolicy::Adaptive => "adaptive",
-        }
-        .to_string(),
-        partitioner: match &cfg.partitioner {
-            Partitioner::RoundRobin => "round_robin",
-            Partitioner::Block => "block",
-            Partitioner::Greedy(_) => "greedy",
-        }
-        .to_string(),
+        window_policy: "adaptive".to_string(),
+        partitioner: "round_robin".to_string(),
         lookahead_ns: lookahead.as_nanos().max(1),
         wall_ns: ws.iter().map(|w| w.span_ns).max().unwrap_or(0),
         windows: stats.windows,
@@ -732,31 +640,16 @@ fn run_parallel_inner<M: Send + 'static>(
 
 /// The peer worker whose published clock actually bounded a window's
 /// horizon `h`, or [`NO_LIMITER`] when the worker was limited by its own
-/// reflected-send bound, the stop time, or had the global minimum
-/// itself. `others` / `argmin` are the minimum next-event time among
+/// reflected-send bound or the stop time. `others` / `argmin` are the minimum next-event time among
 /// peers and the (lowest) peer holding it.
-fn window_limiter(
-    policy: WindowPolicy,
-    my_next: u64,
-    others: u64,
-    argmin: u32,
-    la: u64,
-    h: u64,
-) -> u32 {
+fn window_limiter(my_next: u64, others: u64, argmin: u32, la: u64, h: u64) -> u32 {
     if others == u64::MAX {
         return NO_LIMITER;
     }
     let direct = others.saturating_add(la);
-    let peer_bound = match policy {
-        // Fixed horizon is `global_min + la`: a peer binds when it holds
-        // the global minimum (ties attributed to the peer).
-        WindowPolicy::Fixed => others <= my_next,
-        // Adaptive horizon is `min(direct, reflected)`.
-        WindowPolicy::Adaptive => direct <= my_next.saturating_add(la.saturating_mul(2)),
-    };
-    // `direct <= h` rules out the stop-time clamp having tightened past
-    // the peer bound.
-    if peer_bound && direct <= h {
+    // The peer binds when its direct bound is the tighter of the two, and
+    // `direct <= h` rules out the stop-time clamp having tightened past it.
+    if direct <= my_next.saturating_add(la.saturating_mul(2)) && direct <= h {
         argmin
     } else {
         NO_LIMITER
@@ -788,7 +681,6 @@ fn window_limiter(
 ///   lookaheads after I emitted it, and anything a later-turn worker
 ///   emits is ≥ `min(next_j + la, next_me + 2·la)` ≥ my horizon.
 fn run_cooperative<M: 'static>(
-    policy: WindowPolicy,
     lookahead: SimDuration,
     stop_at: Option<u64>,
     owners: &[u32],
@@ -866,13 +758,13 @@ fn run_cooperative<M: 'static>(
                     }
                 }
             }
-            let (h, wide) = horizon(policy, threads, my_next, others, t, la, stop_at);
+            let (h, wide) = horizon(my_next, others, t, la, stop_at);
             if wide {
                 stats.wide += 1;
             }
             live_horizon.record(h);
             let limiter = if recs.is_some() {
-                window_limiter(policy, my_next, others, near_peer, la, h)
+                window_limiter(my_next, others, near_peer, la, h)
             } else {
                 NO_LIMITER
             };
@@ -980,7 +872,6 @@ fn run_cooperative<M: 'static>(
 /// with [`ExecStats::demoted`] set (their inboxes already drained), and
 /// the caller finishes the run sequentially.
 fn run_threaded<M: Send + 'static>(
-    policy: WindowPolicy,
     lookahead: SimDuration,
     stop_at: Option<u64>,
     owners: &[u32],
@@ -1162,12 +1053,12 @@ fn run_threaded<M: Send + 'static>(
                         epoch_start = (busy, clock);
                     }
                     stats.windows += 1;
-                    let (h, wide) = horizon(policy, threads, my_next, others, t, la, stop_at);
+                    let (h, wide) = horizon(my_next, others, t, la, stop_at);
                     if wide {
                         stats.wide += 1;
                     }
                     let limiter = if rec.is_some() {
-                        window_limiter(policy, my_next, others, near_peer, la, h)
+                        window_limiter(my_next, others, near_peer, la, h)
                     } else {
                         NO_LIMITER
                     };
@@ -1379,17 +1270,6 @@ mod tests {
             .collect()
     }
 
-    fn all_partitioners(nodes: u32) -> Vec<Partitioner> {
-        // Greedy profile from a sequential warmup run of the same ring.
-        let mut warm = build_ring(nodes, 8, 50);
-        let (_, counts) = warm.run_counted();
-        vec![
-            Partitioner::RoundRobin,
-            Partitioner::Block,
-            Partitioner::greedy_from_counts(&counts),
-        ]
-    }
-
     /// Manual perf probe (run with `--ignored --nocapture` in release):
     /// splits cooperative-backend time into pop-loop "busy" vs window
     /// bookkeeping so regressions can be localized.
@@ -1409,43 +1289,29 @@ mod tests {
                 ..PholdConfig::default()
             };
             let mut seq_best = Duration::MAX;
-            let mut fixed_best = Duration::MAX;
-            let mut adaptive_best = Duration::MAX;
-            let mut windows = (0u64, 0u64);
+            let mut par_best = Duration::MAX;
+            let mut windows = 0u64;
             for _ in 0..REPS {
                 let mut sim = build_phold(&phold);
                 let t0 = Instant::now();
                 sim.run();
                 seq_best = seq_best.min(t0.elapsed());
 
-                for policy in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-                    let mut sim = build_phold(&phold);
-                    let owners = Partitioner::RoundRobin.assign(sim.num_entities(), 2);
-                    let lookahead = sim.lookahead();
-                    let stop_at = sim.config().time_limit.map(SimTime::as_nanos);
-                    let mut workers = checkout(&mut sim, &owners, 2);
-                    let t0 = Instant::now();
-                    let (stats, _) =
-                        run_cooperative(policy, lookahead, stop_at, &owners, &mut workers, false);
-                    let wall = t0.elapsed();
-                    if policy == WindowPolicy::Fixed {
-                        fixed_best = fixed_best.min(wall);
-                        windows.0 = stats.windows;
-                    } else {
-                        adaptive_best = adaptive_best.min(wall);
-                        windows.1 = stats.windows;
-                    }
-                    checkin(&mut sim, &mut workers);
-                }
+                let mut sim = build_phold(&phold);
+                let owners = round_robin(sim.num_entities(), 2);
+                let lookahead = sim.lookahead();
+                let stop_at = sim.config().time_limit.map(SimTime::as_nanos);
+                let mut workers = checkout(&mut sim, &owners, 2);
+                let t0 = Instant::now();
+                let (stats, _) = run_cooperative(lookahead, stop_at, &owners, &mut workers, false);
+                par_best = par_best.min(t0.elapsed());
+                windows = stats.windows;
+                checkin(&mut sim, &mut workers);
             }
             let pct = |d: Duration| (d.as_secs_f64() / seq_best.as_secs_f64() - 1.0) * 100.0;
             println!(
-                "pop {population}: seq {seq_best:?} | fixed {fixed_best:?} ({:+.1}%, {} w) \
-                 | adaptive {adaptive_best:?} ({:+.1}%, {} w)",
-                pct(fixed_best),
-                windows.0,
-                pct(adaptive_best),
-                windows.1,
+                "pop {population}: seq {seq_best:?} | cooperative {par_best:?} ({:+.1}%, {windows} w)",
+                pct(par_best),
             );
         }
     }
@@ -1470,9 +1336,8 @@ mod tests {
         }
     }
 
-    /// Every {window policy × partitioner × backend × thread count}
-    /// combination reproduces the sequential fingerprints and event
-    /// count exactly — the ISSUE's acceptance matrix.
+    /// Every {backend × thread count} combination reproduces the
+    /// sequential fingerprints and event count exactly.
     #[test]
     fn config_matrix_matches_sequential() {
         let nodes = 13;
@@ -1480,27 +1345,22 @@ mod tests {
         let seq_res = seq_sim.run();
         let seq_fp = fingerprints(&seq_sim, nodes);
 
-        for window in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-            for partitioner in all_partitioners(nodes) {
-                for backend in [Backend::Threads, Backend::Cooperative] {
-                    for threads in [1, 2, 3, 4, 8] {
-                        let cfg = ParallelConfig {
-                            threads,
-                            window,
-                            partitioner: partitioner.clone(),
-                            backend,
-                        };
-                        let mut par_sim = build_ring(nodes, 8, 50);
-                        let par_res = run_parallel(&mut par_sim, &cfg);
-                        assert_eq!(
-                            fingerprints(&par_sim, nodes),
-                            seq_fp,
-                            "fingerprint mismatch: {cfg:?}"
-                        );
-                        assert_eq!(par_res.events, seq_res.events, "event count: {cfg:?}");
-                        assert_eq!(par_res.end_time, seq_res.end_time, "end time: {cfg:?}");
-                    }
-                }
+        for backend in [Backend::Threads, Backend::Cooperative] {
+            for threads in [1, 2, 3, 4, 8] {
+                let cfg = ParallelConfig {
+                    threads,
+                    backend,
+                    ..ParallelConfig::default()
+                };
+                let mut par_sim = build_ring(nodes, 8, 50);
+                let par_res = run_parallel(&mut par_sim, &cfg);
+                assert_eq!(
+                    fingerprints(&par_sim, nodes),
+                    seq_fp,
+                    "fingerprint mismatch: {cfg:?}"
+                );
+                assert_eq!(par_res.events, seq_res.events, "event count: {cfg:?}");
+                assert_eq!(par_res.end_time, seq_res.end_time, "end time: {cfg:?}");
             }
         }
     }
@@ -1573,9 +1433,8 @@ mod tests {
             for threads in [2, 3] {
                 let cfg = ParallelConfig {
                     threads,
-                    window: WindowPolicy::Adaptive,
-                    partitioner: Partitioner::RoundRobin,
                     backend,
+                    ..ParallelConfig::default()
                 };
                 let mut par = build();
                 let par_res = run_parallel(&mut par, &cfg);
@@ -1632,27 +1491,9 @@ mod tests {
     }
 
     #[test]
-    fn partitioner_round_robin_and_block_shapes() {
-        assert_eq!(Partitioner::RoundRobin.assign(5, 2), vec![0, 1, 0, 1, 0]);
-        // Block: ceil(5/2)=3 per chunk; contiguous.
-        assert_eq!(Partitioner::Block.assign(5, 2), vec![0, 0, 0, 1, 1]);
-        // Block may leave trailing workers empty: ceil(5/4)=2.
-        assert_eq!(Partitioner::Block.assign(5, 4), vec![0, 0, 1, 1, 2]);
-    }
-
-    #[test]
-    fn partitioner_greedy_isolates_hot_entity() {
-        // One entity carries virtually all load: LPT puts it alone on
-        // worker 0 and packs the cold ones together on worker 1.
-        let owners = Partitioner::greedy_from_counts(&[100, 1, 1, 1]).assign(4, 2);
-        assert_eq!(owners, vec![0, 1, 1, 1]);
-        // Deterministic: same profile, same assignment.
-        assert_eq!(
-            owners,
-            Partitioner::greedy_from_counts(&[100, 1, 1, 1]).assign(4, 2)
-        );
-        // Short profiles are padded with weight 1.
-        assert_eq!(Partitioner::greedy_from_counts(&[]).assign(3, 3).len(), 3);
+    fn round_robin_owner_shape() {
+        assert_eq!(round_robin(5, 2), vec![0, 1, 0, 1, 0]);
+        assert_eq!(round_robin(3, 4), vec![0, 1, 2]);
     }
 
     /// Profiling must not perturb results, and the recorded timelines
@@ -1892,29 +1733,46 @@ mod tests {
         assert!(res.events > 0);
     }
 
-    /// Horizon-limiter attribution: with everything on worker 0 of a
-    /// block partition, worker 1 owns no entities and can never be
-    /// named as worker 0's limiter; worker 1's windows (if any stall
-    /// occurs) must point at worker 0.
+    /// Horizon-limiter attribution: self-looping tokens only on even ids
+    /// put the whole load on worker 0 under round-robin. Worker 1 never
+    /// has an event, so it can never be named as worker 0's limiter, and
+    /// worker 1's windows are bounded by worker 0's clock (apart from a
+    /// last turn after worker 0 has drained).
     #[test]
     fn limiter_points_at_the_loaded_partition() {
+        let mut sim: Simulation<u64> = Simulation::new(SimConfig::default());
+        for i in 0..8u32 {
+            sim.add_entity(
+                format!("n{i}"),
+                Box::new(RingNode {
+                    next: EntityId(i),
+                    fingerprint: 0,
+                    forwards_left: 60,
+                }),
+            );
+        }
+        for t in 0..4u32 {
+            sim.schedule(
+                SimTime::from_nanos(t as u64 * 100),
+                EntityId(2 * t),
+                t as u64,
+            );
+        }
         let cfg = ParallelConfig {
             threads: 2,
-            partitioner: Partitioner::Greedy(vec![100, 100, 100, 100, 0, 0, 0, 0]),
             backend: Backend::Cooperative,
             ..ParallelConfig::default()
         };
-        let mut sim = build_ring(8, 8, 60);
         let (_, profile) = run_parallel_profiled(&mut sim, &cfg);
         let profile = profile.unwrap();
-        for w in &profile.workers {
-            for s in &w.samples {
-                if s.limiter != NO_LIMITER {
-                    assert_ne!(s.limiter, w.worker, "a worker cannot limit itself");
-                    assert!(s.limiter < 2);
-                }
-            }
-        }
+        let (loaded, idle) = (&profile.workers[0], &profile.workers[1]);
+        assert_eq!(idle.events, 0);
+        assert!(loaded.samples.iter().all(|s| s.limiter == NO_LIMITER));
+        assert!(idle.samples.iter().any(|s| s.limiter == 0));
+        assert!(idle
+            .samples
+            .iter()
+            .all(|s| s.limiter == 0 || s.limiter == NO_LIMITER));
     }
 
     #[test]
@@ -2030,7 +1888,7 @@ mod tests {
     #[test]
     fn adaptive_handles_skewed_clocks() {
         // Two independent self-loop clusters far apart in virtual time:
-        // the sparse regime where adaptive widening pays. Both policies
+        // the sparse regime where adaptive widening pays. Both backends
         // must still match the sequential run exactly.
         let build = || {
             let mut sim: Simulation<u64> = Simulation::new(SimConfig::default());
@@ -2051,21 +1909,18 @@ mod tests {
         let mut seq = build();
         let seq_res = seq.run();
         let seq_fp = fingerprints(&seq, 4);
-        for window in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-            for backend in [Backend::Threads, Backend::Cooperative] {
-                let mut par = build();
-                let par_res = run_parallel(
-                    &mut par,
-                    &ParallelConfig {
-                        threads: 2,
-                        window,
-                        backend,
-                        ..ParallelConfig::default()
-                    },
-                );
-                assert_eq!(fingerprints(&par, 4), seq_fp, "{window:?}/{backend:?}");
-                assert_eq!(par_res.events, seq_res.events);
-            }
+        for backend in [Backend::Threads, Backend::Cooperative] {
+            let mut par = build();
+            let par_res = run_parallel(
+                &mut par,
+                &ParallelConfig {
+                    threads: 2,
+                    backend,
+                    ..ParallelConfig::default()
+                },
+            );
+            assert_eq!(fingerprints(&par, 4), seq_fp, "{backend:?}");
+            assert_eq!(par_res.events, seq_res.events);
         }
     }
 }

@@ -287,10 +287,10 @@ impl<M: 'static> Simulation<M> {
 
     /// Change the time limit between runs.
     ///
-    /// Useful for warmup profiling: run a bounded prefix (for
-    /// [`Simulation::run_counted`] → `Partitioner::greedy_from_counts`),
-    /// then lift the limit and resume — pending events past the old
-    /// limit stay queued and are picked up by the next run.
+    /// Useful for warmup profiling: run a bounded prefix (for example
+    /// with [`Simulation::run_counted`]), then lift the limit and resume —
+    /// pending events past the old limit stay queued and are picked up
+    /// by the next run.
     pub fn set_time_limit(&mut self, limit: Option<SimTime>) {
         self.cfg.time_limit = limit;
     }
@@ -317,11 +317,8 @@ impl<M: 'static> Simulation<M> {
     /// Run to completion with the sequential executor, additionally
     /// counting how many events each entity handled.
     ///
-    /// The per-entity counts are the profile a
-    /// [`crate::parallel::Partitioner::Greedy`] partitioner wants: run a
-    /// short warmup (e.g. with a reduced `time_limit`), feed the counts
-    /// to [`crate::parallel::Partitioner::greedy_from_counts`], then
-    /// rebuild and run the full simulation in parallel.
+    /// The per-entity counts show where a run's events land, for
+    /// example which layer of a storage model is hot.
     pub fn run_counted(&mut self) -> (RunResult, Vec<u64>) {
         let mut counts = vec![0u64; self.entities.len()];
         let res = self.run_with(|dst| counts[dst.index()] += 1);

@@ -226,8 +226,8 @@ impl ObjCluster {
         out
     }
 
-    /// Run sequentially while attributing processed events to entities
-    /// (feeds load-aware partitioning of a subsequent parallel run).
+    /// Run sequentially while attributing processed events to entities.
+    /// Returns the run result plus per-entity event counts.
     pub fn run_counted(&mut self) -> (RunResult, Vec<u64>) {
         let out = {
             let _obs_span = pioeval_obs::span(pioeval_obs::names::SPAN_OBJ_RUN, "obj");
@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn seq_and_parallel_executors_agree() {
-        use pioeval_des::{Backend, ParallelConfig, Partitioner, WindowPolicy};
+        use pioeval_des::{Backend, ParallelConfig};
         let run = |exec: &ExecMode| {
             let mut cluster = ObjCluster::new(ObjStoreConfig::default()).unwrap();
             for i in 0..4 {
@@ -555,8 +555,7 @@ mod tests {
         let par = run(&ExecMode::Parallel(ParallelConfig {
             threads: 4,
             backend: Backend::Threads,
-            window: WindowPolicy::default(),
-            partitioner: Partitioner::RoundRobin,
+            ..ParallelConfig::default()
         }));
         assert_eq!(seq, par);
     }

@@ -275,9 +275,7 @@ impl Cluster {
     }
 
     /// Run sequentially while attributing processed events to entities.
-    /// Returns the run result plus per-entity event counts — the profile
-    /// that feeds `pioeval_des::Partitioner::greedy_from_counts` for
-    /// load-aware partitioning of a subsequent parallel run.
+    /// Returns the run result plus per-entity event counts.
     pub fn run_counted(&mut self) -> (RunResult, Vec<u64>) {
         let out = {
             let _obs_span = pioeval_obs::span(pioeval_obs::names::SPAN_PFS_RUN, "pfs");

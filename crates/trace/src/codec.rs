@@ -5,15 +5,19 @@
 //! a realistic on-disk footprint, not a pretty-printed one.
 //!
 //! Layout: 8-byte magic/version header, a u64 record count, then one
-//! 43-byte little-endian record per entry.
+//! 42-byte (`RECORD_BYTES`) little-endian record per entry.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pioeval_types::{
     Error, FileId, IoKind, Layer, LayerRecord, MetaOp, Rank, RecordOp, Result, SimTime,
 };
 
 const MAGIC: &[u8; 6] = b"PIOTRC";
 const VERSION: u16 = 1;
+/// Header bytes: magic (6), version (2), record count (8).
+const HEADER_BYTES: usize = 16;
+/// Bytes per record: layer and op codes (1 + 1), rank and file ids
+/// (4 + 4), then offset, length, start and end (4 × 8).
+const RECORD_BYTES: usize = 42;
 
 fn layer_code(l: Layer) -> u8 {
     match l {
@@ -60,64 +64,70 @@ fn op_from(code: u8) -> Result<RecordOp> {
 }
 
 /// Encode records into the compact binary trace format.
-pub fn encode_records(records: &[LayerRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + records.len() * 43);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(records.len() as u64);
+pub fn encode_records(records: &[LayerRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + records.len() * RECORD_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for r in records {
-        buf.put_u8(layer_code(r.layer));
-        buf.put_u8(op_code(r.op));
-        buf.put_u32_le(r.rank.0);
-        buf.put_u32_le(r.file.0);
-        buf.put_u64_le(r.offset);
-        buf.put_u64_le(r.len);
-        buf.put_u64_le(r.start.as_nanos());
-        buf.put_u64_le(r.end.as_nanos());
+        buf.push(layer_code(r.layer));
+        buf.push(op_code(r.op));
+        buf.extend_from_slice(&r.rank.0.to_le_bytes());
+        buf.extend_from_slice(&r.file.0.to_le_bytes());
+        for v in [r.offset, r.len, r.start.as_nanos(), r.end.as_nanos()] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    buf.freeze()
+    buf
 }
 
-/// Decode a binary trace produced by [`encode_records`].
-pub fn decode_records(mut data: &[u8]) -> Result<Vec<LayerRecord>> {
-    if data.len() < 16 {
+/// Decode a binary trace produced by [`encode_records`]. Any malformed
+/// input, including a header whose record count the body cannot hold,
+/// is an error, never a panic.
+pub fn decode_records(data: &[u8]) -> Result<Vec<LayerRecord>> {
+    let Some((header, body)) = data.split_first_chunk::<HEADER_BYTES>() else {
         return Err(Error::Codec("truncated header".into()));
-    }
-    let mut magic = [0u8; 6];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    let (magic, rest) = header.split_at(MAGIC.len());
+    if magic != MAGIC {
         return Err(Error::Codec("bad magic".into()));
     }
-    let version = data.get_u16_le();
+    let (version, count) = rest.split_at(2);
+    let version = u16::from_le_bytes([version[0], version[1]]);
     if version != VERSION {
         return Err(Error::Codec(format!("unsupported version {version}")));
     }
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * 42 {
+    let mut count_le = [0u8; 8];
+    count_le.copy_from_slice(count);
+    let count = u64::from_le_bytes(count_le);
+    if count > (body.len() / RECORD_BYTES) as u64 {
         return Err(Error::Codec(format!(
             "truncated body: {} bytes for {count} records",
-            data.remaining()
+            body.len()
         )));
     }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let layer = layer_from(data.get_u8())?;
-        let op = op_from(data.get_u8())?;
-        let rank = Rank::new(data.get_u32_le());
-        let file = FileId::new(data.get_u32_le());
-        let offset = data.get_u64_le();
-        let len = data.get_u64_le();
-        let start = SimTime::from_nanos(data.get_u64_le());
-        let end = SimTime::from_nanos(data.get_u64_le());
+    let records = body.chunks_exact(RECORD_BYTES).take(count as usize);
+    let mut out = Vec::with_capacity(records.len());
+    for rec in records {
+        let u32_at = |at: usize| {
+            let mut le = [0u8; 4];
+            le.copy_from_slice(&rec[at..at + 4]);
+            u32::from_le_bytes(le)
+        };
+        let u64_at = |at: usize| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(&rec[at..at + 8]);
+            u64::from_le_bytes(le)
+        };
         out.push(LayerRecord {
-            layer,
-            rank,
-            file,
-            op,
-            offset,
-            len,
-            start,
-            end,
+            layer: layer_from(rec[0])?,
+            op: op_from(rec[1])?,
+            rank: Rank::new(u32_at(2)),
+            file: FileId::new(u32_at(6)),
+            offset: u64_at(10),
+            len: u64_at(18),
+            start: SimTime::from_nanos(u64_at(26)),
+            end: SimTime::from_nanos(u64_at(34)),
         });
     }
     Ok(out)
@@ -206,13 +216,53 @@ mod tests {
     #[test]
     fn corrupt_inputs_are_rejected() {
         assert!(decode_records(b"short").is_err());
-        let mut bad_magic = encode_records(&sample()).to_vec();
+        let mut bad_magic = encode_records(&sample());
         bad_magic[0] = b'X';
         assert!(decode_records(&bad_magic).is_err());
-        let mut truncated = encode_records(&sample()).to_vec();
+        let mut truncated = encode_records(&sample());
         truncated.truncate(30);
         assert!(decode_records(&truncated).is_err());
         assert!(records_from_json("not json").is_err());
+    }
+
+    /// The on-disk layout, pinned byte for byte on one record.
+    #[test]
+    fn layout_matches_hand_written_bytes() {
+        let record = LayerRecord {
+            layer: Layer::Posix,
+            rank: Rank::new(0x0102_0304),
+            file: FileId::new(7),
+            op: RecordOp::Data(IoKind::Write),
+            offset: 0x1122_3344_5566_7788,
+            len: 4096,
+            start: SimTime::from_nanos(1),
+            end: SimTime::from_nanos(0x0100),
+        };
+        let mut expect: Vec<u8> = b"PIOTRC".to_vec();
+        expect.extend([1, 0]); // version
+        expect.extend([1, 0, 0, 0, 0, 0, 0, 0]); // record count
+        expect.extend([3, 1]); // layer Posix, op Data(Write)
+        expect.extend([4, 3, 2, 1]); // rank
+        expect.extend([7, 0, 0, 0]); // file
+        expect.extend([0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11]); // offset
+        expect.extend([0, 0x10, 0, 0, 0, 0, 0, 0]); // len
+        expect.extend([1, 0, 0, 0, 0, 0, 0, 0]); // start
+        expect.extend([0, 1, 0, 0, 0, 0, 0, 0]); // end
+        assert_eq!(expect.len(), HEADER_BYTES + RECORD_BYTES);
+        assert_eq!(encode_records(std::slice::from_ref(&record)), expect);
+        assert_eq!(decode_records(&expect).unwrap(), vec![record]);
+    }
+
+    /// A record count the body cannot hold is rejected without
+    /// overflowing `count * RECORD_BYTES` or reserving for it: the
+    /// largest count, and the smallest whose product wraps past 2^64.
+    #[test]
+    fn hostile_record_counts_are_rejected() {
+        for count in [u64::MAX, u64::MAX / RECORD_BYTES as u64 + 1] {
+            let mut data = encode_records(&sample()[..1]);
+            data[8..16].copy_from_slice(&count.to_le_bytes());
+            assert!(decode_records(&data).is_err(), "count {count}");
+        }
     }
 
     #[test]

@@ -149,9 +149,11 @@ pub struct ExecProfile {
     pub threads: u32,
     /// Backend that ran (`threads` or `cooperative`).
     pub backend: String,
-    /// Window policy (`fixed` or `adaptive`).
+    /// Window policy: `adaptive` (documents from before the fixed
+    /// policy was removed may say `fixed`).
     pub window_policy: String,
-    /// Partitioner (`round_robin`, `block`, or `greedy`).
+    /// Partitioner: `round_robin` (documents from before the block and
+    /// greedy partitioners were removed may say `block` or `greedy`).
     pub partitioner: String,
     /// Conservative lookahead, in *simulated* nanoseconds.
     pub lookahead_ns: u64,
@@ -573,6 +575,16 @@ mod tests {
         assert_eq!(back.workers, prof.workers);
         let err = ExecProfile::from_json(&text.replace("profile/1", "profile/9"));
         assert!(err.unwrap_err().contains("unsupported profile schema"));
+        // Documents from executors that had more window policies and
+        // partitioners read back with their fields as written.
+        for (window_policy, partitioner) in [("fixed", "greedy"), ("fixed", "block")] {
+            let older = ExecProfile {
+                window_policy: window_policy.into(),
+                partitioner: partitioner.into(),
+                ..prof.clone()
+            };
+            assert_eq!(ExecProfile::from_json(&older.to_json()), Ok(older));
+        }
     }
 
     #[test]

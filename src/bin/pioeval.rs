@@ -122,10 +122,6 @@ slowdown column attributes contention plus failure-recovery cost.
 
 DES ENGINE (run/dsl; results are identical across executors):
   --des-threads <N>      use the conservative parallel engine with N workers
-  --des-window <P>       window policy: fixed | adaptive  [default: adaptive]
-  --des-partition <P>    partitioner: rr | block | greedy [default: rr]
-                         (greedy profiles per-entity load with one
-                         sequential warmup trip, then bin-packs workers)
 
 REQ OPTIONS (pioeval requests <FILE>):
   --json               machine-readable analysis document on stdout
@@ -191,15 +187,6 @@ enum MetricsMode {
     Json,
 }
 
-/// `--des-partition` choices (the greedy profile is gathered later,
-/// once the workload is known).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DesPartition {
-    RoundRobin,
-    Block,
-    Greedy,
-}
-
 /// `--target` choices: which storage stack sits at the bottom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TargetKind {
@@ -233,8 +220,6 @@ struct Options {
     live_interval_ms: Option<u64>,
     run_id: Option<String>,
     des_threads: Option<usize>,
-    des_window: Option<pioeval::des::WindowPolicy>,
-    des_partition: Option<DesPartition>,
 }
 
 impl Default for Options {
@@ -261,8 +246,6 @@ impl Default for Options {
             live_interval_ms: None,
             run_id: None,
             des_threads: None,
-            des_window: None,
-            des_partition: None,
         }
     }
 }
@@ -403,29 +386,6 @@ fn options_from(flags: &HashMap<String, String>) -> Result<Options, String> {
         }
         opts.des_threads = Some(v as usize);
     }
-    if let Some(v) = flags.get("des-window") {
-        opts.des_window = Some(match v.as_str() {
-            "fixed" => pioeval::des::WindowPolicy::Fixed,
-            "adaptive" => pioeval::des::WindowPolicy::Adaptive,
-            other => {
-                return Err(format!(
-                    "bad --des-window: {other} (expected fixed|adaptive)"
-                ))
-            }
-        });
-    }
-    if let Some(v) = flags.get("des-partition") {
-        opts.des_partition = Some(match v.as_str() {
-            "rr" | "round-robin" => DesPartition::RoundRobin,
-            "block" => DesPartition::Block,
-            "greedy" => DesPartition::Greedy,
-            other => {
-                return Err(format!(
-                    "bad --des-partition: {other} (expected rr|block|greedy)"
-                ))
-            }
-        });
-    }
     for key in flags.keys() {
         if ![
             "ranks",
@@ -450,8 +410,6 @@ fn options_from(flags: &HashMap<String, String>) -> Result<Options, String> {
             "live-interval",
             "run-id",
             "des-threads",
-            "des-window",
-            "des-partition",
         ]
         .contains(&key.as_str())
         {
@@ -464,43 +422,13 @@ fn options_from(flags: &HashMap<String, String>) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Build the executor choice from the `--des-*` flags. A greedy
-/// partition runs one sequential warmup trip of the same workload to
-/// profile per-entity load before the measured run.
-fn exec_for(
-    opts: &Options,
-    target: &TargetConfig,
-    source: &WorkloadSource,
-) -> Result<pioeval::des::ExecMode, String> {
-    use pioeval::des::{ExecMode, ParallelConfig, Partitioner};
-    if opts.des_threads.is_none() && opts.des_window.is_none() && opts.des_partition.is_none() {
-        return Ok(ExecMode::Sequential);
+/// Build the executor choice from `--des-threads`.
+fn exec_for(opts: &Options) -> pioeval::des::ExecMode {
+    use pioeval::des::{ExecMode, ParallelConfig};
+    match opts.des_threads {
+        Some(threads) => ExecMode::Parallel(ParallelConfig::with_threads(threads)),
+        None => ExecMode::Sequential,
     }
-    let mut cfg = ParallelConfig::with_threads(opts.des_threads.unwrap_or(2));
-    if let Some(window) = opts.des_window {
-        cfg.window = window;
-    }
-    match opts.des_partition {
-        Some(DesPartition::Block) => cfg.partitioner = Partitioner::Block,
-        Some(DesPartition::Greedy) => {
-            let TargetConfig::Pfs(cluster) = target else {
-                return Err("--des-partition greedy profiles the PFS entity layout; \
-                     use rr or block with --target objstore"
-                    .into());
-            };
-            let counts = pioeval::core::profile_entity_counts(
-                cluster,
-                source,
-                opts.ranks,
-                StackConfig::default(),
-                opts.seed,
-            )
-            .map_err(|e| e.to_string())?;
-            cfg.partitioner = Partitioner::greedy_from_counts(&counts);
-        }
-        Some(DesPartition::RoundRobin) | None => {}
-    }
-    Ok(ExecMode::Parallel(cfg))
 }
 
 fn cluster_from(opts: &Options) -> ClusterConfig {
@@ -1032,7 +960,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         ),
     );
     let source = WorkloadSource::Synthetic(workload);
-    let exec = exec_for(&opts, &target, &source)?;
+    let exec = exec_for(&opts);
     install_live(&opts, &format!("run-{name}-{}", opts.seed))?;
     let report = {
         let _run = pioeval::obs::span(pioeval::obs::names::SPAN_RUN, "cli");
@@ -1093,7 +1021,7 @@ fn cmd_dsl(args: &[String]) -> Result<(), String> {
         ),
     );
     let source = WorkloadSource::Synthetic(Box::new(workload));
-    let exec = exec_for(&opts, &target, &source)?;
+    let exec = exec_for(&opts);
     install_live(&opts, &format!("dsl-{path}-{}", opts.seed))?;
     let report = {
         let _run = pioeval::obs::span(pioeval::obs::names::SPAN_RUN, "cli");
@@ -1401,25 +1329,25 @@ fn baseline_ratios(
 
 /// One `pioeval-bench-history/1` JSONL line (newline included): the
 /// run's git revision, timestamp and engine configuration plus each
-/// row's median events/sec. Every string goes through [`esc`], so no
+/// row's median events/sec. The `window` field always reads `adaptive`,
+/// the executor's only window policy; it stays so every line of an
+/// archive has the same fields. Every string goes through [`esc`], so no
 /// `--timestamp` can write a line that later breaks `pioeval compare`.
 fn history_line(
     rev: &str,
     timestamp: &str,
     threads: usize,
     backend: &str,
-    window: &str,
     rows: &[(String, f64)],
 ) -> String {
     use std::fmt::Write as _;
     let mut line = format!(
         "{{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"{}\", \
          \"timestamp\": \"{}\", \"threads\": {threads}, \
-         \"backend\": \"{}\", \"window\": \"{}\", \"benches\": [",
+         \"backend\": \"{}\", \"window\": \"adaptive\", \"benches\": [",
         esc(rev),
         esc(timestamp),
-        esc(backend),
-        esc(window)
+        esc(backend)
     );
     for (i, (name, eps)) in rows.iter().enumerate() {
         let sep = if i > 0 { ", " } else { "" };
@@ -1443,13 +1371,12 @@ fn create_parent_dir(path: &str) -> Result<(), String> {
 }
 
 /// Benchmark the engine itself: PHOLD on both DES executors (plus
-/// request-traced, phase-profiled, greedy-partitioned and sampler-on
-/// variants) and lint on a large generated program, run in `--repeat`
-/// interleaved rounds. Each row reports its median over the rounds;
-/// the recorder-overhead checks and the optional `--baseline` gate are
-/// all judged by [`paired_check`] over the per-round pairs. Results
-/// land in a JSON file and one history line so successive commits can
-/// be compared.
+/// request-traced, phase-profiled and sampler-on variants) and lint on
+/// a large generated program, run in `--repeat` interleaved rounds.
+/// Each row reports its median over the rounds; the recorder-overhead
+/// checks and the optional `--baseline` gate are all judged by
+/// [`paired_check`] over the per-round pairs. Results land in a JSON
+/// file and one history line so successive commits can be compared.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     if let Some(extra) = positional.first() {
@@ -1529,13 +1456,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         backend,
         ..ParallelConfig::default()
     };
-    // Profile-guided variant: per-entity counts from an (untimed)
-    // sequential warmup feed the greedy bin-packing partitioner.
-    let (_, counts) = build_phold(&phold).run_counted();
-    let greedy_cfg = ParallelConfig {
-        partitioner: pioeval::des::Partitioner::greedy_from_counts(&counts),
-        ..par_cfg.clone()
-    };
     // Lint wall-time on a generated large DSL program (~10k statements):
     // CFG lowering plus the abstract-interpretation passes end to end,
     // with repeat/barrier/onrank structure so every lowering path is on
@@ -1593,10 +1513,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     bench_profile = prof;
                     Ok(res.events)
                 }),
-            ),
-            (
-                format!("{plain}_greedy"),
-                Box::new(|| Ok(run_parallel(&mut build_phold(&phold), &greedy_cfg).events)),
             ),
             // Sampler-on variant: the live exporter streams frames to a
             // scratch file at the default interval during the run.
@@ -1745,11 +1661,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         Backend::Threads => "threads",
         Backend::Cooperative => "coop",
     };
-    let window = match par_cfg.window {
-        pioeval::des::WindowPolicy::Fixed => "fixed",
-        pioeval::des::WindowPolicy::Adaptive => "adaptive",
-    };
-    let line = history_line(&rev, &timestamp, threads, backend, window, &summary);
+    let line = history_line(&rev, &timestamp, threads, backend, &summary);
     create_parent_dir(&history)?;
     use std::io::Write as _;
     std::fs::OpenOptions::new()
@@ -3083,7 +2995,31 @@ mod tests {
         assert_ne!(old, text);
         let back = ExecProfile::from_json(&old).unwrap();
         assert_eq!((back.inline_events, back.inline_ns), (0, 0));
-        for (tag, doc) in [("new", &text), ("old", &old)] {
+        // Documents from executors with a fixed window policy and block
+        // or greedy partitioners still read and render.
+        let configured = r#""window_policy": "adaptive", "partitioner": "round_robin""#;
+        assert!(text.contains(configured), "{text}");
+        let greedy = text.replace(
+            configured,
+            r#""window_policy": "fixed", "partitioner": "greedy""#,
+        );
+        let block = text.replace(
+            configured,
+            r#""window_policy": "fixed", "partitioner": "block""#,
+        );
+        for (doc, partitioner) in [(&greedy, "greedy"), (&block, "block")] {
+            let back = ExecProfile::from_json(doc).unwrap();
+            assert_eq!(
+                (back.window_policy.as_str(), back.partitioner.as_str()),
+                ("fixed", partitioner)
+            );
+        }
+        for (tag, doc) in [
+            ("new", &text),
+            ("old", &old),
+            ("greedy", &greedy),
+            ("block", &block),
+        ] {
             let path = std::env::temp_dir().join(format!(
                 "pioeval_profile_cli_{}_{tag}.json",
                 std::process::id()
@@ -3215,7 +3151,7 @@ mod tests {
     #[test]
     fn history_line_escapes_rev_and_timestamp() {
         let rows = vec![("phold_seq".to_string(), 1.5), ("lint".to_string(), 2.0)];
-        let line = history_line("ab\\c", "x\"y", 2, "coop", "adaptive", &rows);
+        let line = history_line("ab\\c", "x\"y", 2, "coop", &rows);
         assert!(line.ends_with("]}\n"));
         let doc = serde_json::parse(line.trim_end()).expect("history line is JSON");
         let field = |k: &str| match doc.get(k) {

@@ -3,15 +3,13 @@
 //!
 //! Random ring / star / random-graph (PHOLD-like) topologies are run
 //! once sequentially and then under every drawn parallel configuration
-//! — {window policy} × {partitioner} × {1–8 threads} × both backends —
-//! asserting the per-entity event-order fingerprints, total event
+//! — {1–8 threads} × both backends — asserting the per-entity event-order fingerprints, total event
 //! count, and end time match the sequential run exactly. This is the
 //! conservative engine's core guarantee: parallelism changes wall-clock
 //! time, never results.
 
 use pioeval::des::{
-    run_parallel, Backend, Ctx, Entity, EntityId, Envelope, ParallelConfig, Partitioner, SimConfig,
-    Simulation, WindowPolicy,
+    run_parallel, Backend, Ctx, Entity, EntityId, Envelope, ParallelConfig, SimConfig, Simulation,
 };
 use pioeval::types::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -121,8 +119,8 @@ fn fingerprints(sim: &Simulation<u64>, nodes: u32) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every {topology × window policy × partitioner × thread count ×
-    /// backend} combination reproduces the sequential run exactly.
+    /// Every {topology × thread count × backend} combination reproduces
+    /// the sequential run exactly.
     #[test]
     fn parallel_equals_sequential_on_random_topologies(
         kind in prop::sample::select(vec![RING, STAR, RANDOM]),
@@ -131,31 +129,16 @@ proptest! {
         forwards in 0u32..40,
         threads in 1usize..=8,
         seed in 0u64..1 << 32,
-        policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
-        part_kind in 0u8..3,
     ) {
         let mut seq = build(kind, nodes, tokens, forwards, seed);
         let seq_result = seq.run();
         let seq_fp = fingerprints(&seq, nodes);
 
-        let partitioner = match part_kind {
-            0 => Partitioner::RoundRobin,
-            1 => Partitioner::Block,
-            _ => {
-                // Profile-guided greedy from a sequential warmup of the
-                // same topology.
-                let mut warm = build(kind, nodes, tokens, forwards, seed);
-                let (_, counts) = warm.run_counted();
-                Partitioner::greedy_from_counts(&counts)
-            }
-        };
-
         for backend in [Backend::Cooperative, Backend::Threads] {
             let cfg = ParallelConfig {
                 threads,
-                window: policy,
-                partitioner: partitioner.clone(),
                 backend,
+                ..ParallelConfig::default()
             };
             let mut par = build(kind, nodes, tokens, forwards, seed);
             let par_result = run_parallel(&mut par, &cfg);
@@ -170,8 +153,8 @@ proptest! {
             );
             prop_assert_eq!(
                 fingerprints(&par, nodes), seq_fp.clone(),
-                "fingerprints diverged ({:?}, kind {}, threads {}, {:?})",
-                backend, kind, threads, policy
+                "fingerprints diverged ({:?}, kind {}, threads {})",
+                backend, kind, threads
             );
         }
     }
@@ -222,7 +205,6 @@ proptest! {
         seed in 0u64..1 << 16,
         threads in 2usize..=4,
         backend in prop::sample::select(vec![Backend::Cooperative, Backend::Threads]),
-        policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
     ) {
         use pioeval::core::{measure_target_traced, TargetConfig};
         use pioeval::des::ExecMode;
@@ -261,7 +243,6 @@ proptest! {
         let cfg = ParallelConfig {
             threads,
             backend,
-            window: policy,
             ..ParallelConfig::default()
         };
         for (i, target) in targets.iter().enumerate() {
@@ -284,7 +265,7 @@ proptest! {
             if i == 1 {
                 prop_assert!(seq_doc.contains(&repl_hop), "no replication-fabric hops");
             }
-            let (_, par_doc) = trace_of(&ExecMode::Parallel(cfg.clone()));
+            let (_, par_doc) = trace_of(&ExecMode::Parallel(cfg));
             prop_assert_eq!(seq_doc, par_doc, "target {}: request trace diverged across executors", i);
         }
     }
@@ -309,7 +290,6 @@ proptest! {
         fail_ms in 1u64..30,
         ack_kind in 0u8..3,
         mtbf in proptest::bool::ANY,
-        policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
     ) {
         use pioeval::core::{measure_target_traced, TargetConfig};
         use pioeval::des::ExecMode;
@@ -365,12 +345,7 @@ proptest! {
             seq_res.acked_bytes, seq_res.replicated_bytes, seq_res.data_loss_bytes
         );
 
-        let cfg = ParallelConfig {
-            threads,
-            window: policy,
-            ..ParallelConfig::default()
-        };
-        let par = run(&ExecMode::Parallel(cfg));
+        let par = run(&ExecMode::Parallel(ParallelConfig::with_threads(threads)));
         prop_assert_eq!(par.makespan(), seq.makespan(), "makespan diverged");
         prop_assert_eq!(
             par.resilience.expect("resilience report"), seq_res,

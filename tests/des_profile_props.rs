@@ -11,8 +11,7 @@
 //! an unprofiled twin.
 
 use pioeval::des::{
-    build_phold, run_parallel, run_parallel_profiled, Backend, ParallelConfig, Partitioner,
-    PholdConfig, WindowPolicy,
+    build_phold, run_parallel, run_parallel_profiled, Backend, ParallelConfig, PholdConfig,
 };
 use pioeval::types::SimTime;
 use proptest::prelude::*;
@@ -32,7 +31,7 @@ proptest! {
 
     /// Phase durations tile each worker's span exactly, windows are
     /// fully accounted, and profiling leaves results untouched — on
-    /// random PHOLD topologies, both backends, every partitioner.
+    /// random PHOLD topologies and both backends.
     #[test]
     fn phase_durations_tile_worker_spans(
         lps in 4u32..40,
@@ -40,16 +39,13 @@ proptest! {
         horizon_us in 100u64..2000,
         threads in 2usize..=4,
         seed in 0u64..1 << 32,
-        policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
-        part_kind in 0u8..2,
         backend in prop::sample::select(vec![Backend::Cooperative, Backend::Threads]),
     ) {
         let pc = phold(lps, population, horizon_us, seed);
         let cfg = ParallelConfig {
             threads,
-            window: policy,
-            partitioner: if part_kind == 0 { Partitioner::RoundRobin } else { Partitioner::Block },
             backend,
+            ..ParallelConfig::default()
         };
 
         let mut plain = build_phold(&pc);

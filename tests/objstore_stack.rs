@@ -5,7 +5,7 @@
 //! no matter in which order part commits land.
 
 use pioeval::core::{measure_target_with_exec, TargetConfig, WorkloadSource};
-use pioeval::des::{Backend, ExecMode, ParallelConfig, Partitioner, WindowPolicy};
+use pioeval::des::{Backend, ExecMode, ParallelConfig};
 use pioeval::iostack::StackConfig;
 use pioeval::objstore::{ExtentMap, ObjStoreConfig, Placement};
 use pioeval::workloads::{DlioLike, IorLike};
@@ -61,8 +61,7 @@ fn objstore_executors_agree_through_the_full_stack() {
                 &ExecMode::Parallel(ParallelConfig {
                     threads,
                     backend: Backend::Threads,
-                    window: WindowPolicy::default(),
-                    partitioner: Partitioner::RoundRobin,
+                    ..ParallelConfig::default()
                 }),
             );
             assert_eq!(seq, par, "threads={threads}");
@@ -86,8 +85,7 @@ fn erasure_coded_target_executors_agree() {
         &ExecMode::Parallel(ParallelConfig {
             threads: 4,
             backend: Backend::Cooperative,
-            window: WindowPolicy::default(),
-            partitioner: Partitioner::Block,
+            ..ParallelConfig::default()
         }),
     );
     assert_eq!(seq, par);
