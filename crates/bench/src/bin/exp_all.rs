@@ -1,6 +1,7 @@
 //! Runs experiments from DESIGN.md's experiment index at full scale and
-//! prints their reports: every one (F1-F4, E1-E14, X1-X6; a few minutes)
-//! with no arguments, or only the listed ids, e.g. `exp_all fig3 e2`.
+//! prints their reports: every one (F1-F4, E1-E14, X1-X6; about 2 s for
+//! a release build on a 2-vCPU VM) with no arguments, or only the listed
+//! ids, e.g. `exp_all fig3 e2`.
 
 use pioeval_bench::experiments::{Experiment, EXPERIMENTS};
 use pioeval_bench::Scale;

@@ -695,8 +695,9 @@ fn run_cooperative<M: 'static>(
     // the worker then runs, horizon-stall when its turn is null with
     // work pending — the same classification the threaded backend uses.
     let mut recs: Option<Vec<PhaseRecorder>> = profile.then(|| {
+        let epoch = pioeval_obs::global().epoch();
         (0..threads)
-            .map(|i| PhaseRecorder::start(i as u32))
+            .map(|i| PhaseRecorder::start(i as u32, epoch))
             .collect()
     });
     let mut stats = ExecStats::default();
@@ -946,7 +947,7 @@ fn run_threaded<M: Send + 'static>(
                 // worker order at join — the reqtrace discipline. Every
                 // mark site below is a single `Option` branch when
                 // profiling is off.
-                let mut rec = profile.then(|| PhaseRecorder::start(tid as u32));
+                let mut rec = profile.then(|| PhaseRecorder::start(tid as u32, obs.epoch()));
                 // Live-progress handles, fetched once: each worker adds
                 // its per-window event delta; thread 0 (whose decide-step
                 // snapshot is canonical) also publishes window count,

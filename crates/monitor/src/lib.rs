@@ -46,8 +46,8 @@ pub use interference::{interference_report, InterferenceReport};
 pub use loadbalance::{rebalance, LoadReport};
 pub use metadata::MetadataActivity;
 pub use profiler::{
-    analyze_profile, profile_chrome_trace, Cause, CriticalWorker, LostParallelism, ProfileAnalysis,
-    WorkerBreakdown,
+    analyze_profile, append_profile_tracks, Cause, CriticalWorker, LostParallelism,
+    ProfileAnalysis, WorkerBreakdown,
 };
 pub use scheduler::{JobLog, SchedulerLog};
 pub use straggler::{find_stragglers, LaneHealth, StragglerReport};

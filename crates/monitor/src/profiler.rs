@@ -380,25 +380,36 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
     }
 }
 
-/// Export a profile as a Chrome trace-event JSON document for Perfetto:
-/// one named track per worker (with `process_name`/`thread_name`
-/// metadata so the UI shows labels instead of bare tids), per-window
-/// phase slices on each worker's track (stall slices carry the limiting
-/// worker in `args`), and a window-boundary track from worker 0's
-/// samples.
-pub fn profile_chrome_trace(p: &ExecProfile) -> String {
-    let mut w = TraceWriter::default();
-    w.process_name(1, "des-workers");
+/// Append a profile's phase timelines to a Chrome trace as process 2,
+/// `des-workers` (the `--trace-out` document holds the framework's spans
+/// and counters in process 1): one named track per worker, per-window
+/// phase slices on it (stall slices carry the limiting worker in
+/// `args`), and a window-boundary track from worker 0's samples. The
+/// executor stamps samples on the telemetry registry's clock, so the
+/// slices share the spans' time axis. Time after a worker's last
+/// retained sample (windows past the sample cap, and the final partial
+/// window) is drawn as one trailing slice per phase, so each worker's
+/// slices sum to its phase totals exactly.
+pub fn append_profile_tracks(w: &mut TraceWriter, p: &ExecProfile) {
+    const PID: u32 = 2;
+    w.process_name(PID, "des-workers");
     for wp in &p.workers {
         let track = format!(
             "worker {} ({} LPs, {} events)",
             wp.worker, wp.entities, wp.events
         );
-        w.thread_name(1, wp.worker, &track);
+        w.thread_name(PID, wp.worker, &track);
+        // Without a sample there is no start time to place the rest at.
+        let Some(first) = wp.samples.first() else {
+            continue;
+        };
+        let mut rest = wp.phase_ns;
+        let mut at = first.start_ns;
         for s in &wp.samples {
-            let mut at = s.start_ns;
+            at = s.start_ns;
             for phase in ProfPhase::ALL {
                 let dur = s.phase_ns[phase.index()];
+                rest[phase.index()] = rest[phase.index()].saturating_sub(dur);
                 if dur == 0 {
                     continue;
                 }
@@ -408,7 +419,14 @@ pub fn profile_chrome_trace(p: &ExecProfile) -> String {
                 } else {
                     &[]
                 };
-                w.complete(1, wp.worker, phase.name(), "des", at..at + dur, args);
+                w.complete(PID, wp.worker, phase.name(), "des", at..at + dur, args);
+                at += dur;
+            }
+        }
+        for phase in ProfPhase::ALL {
+            let dur = rest[phase.index()];
+            if dur > 0 {
+                w.complete(PID, wp.worker, phase.name(), "des", at..at + dur, &[]);
                 at += dur;
             }
         }
@@ -416,12 +434,12 @@ pub fn profile_chrome_trace(p: &ExecProfile) -> String {
     // Window-boundary track from worker 0 (windows are shared).
     if let Some(w0) = p.workers.first() {
         let tid = p.threads;
-        w.thread_name(1, tid, "windows");
+        w.thread_name(PID, tid, "windows");
         for (i, s) in w0.samples.iter().enumerate() {
             let dur: u64 = s.phase_ns.iter().sum();
             let args = [("events", s.events)];
             w.complete(
-                1,
+                PID,
                 tid,
                 &format!("w{i}"),
                 "des",
@@ -430,7 +448,6 @@ pub fn profile_chrome_trace(p: &ExecProfile) -> String {
             );
         }
     }
-    w.finish()
 }
 
 #[cfg(test)]
@@ -541,7 +558,7 @@ mod tests {
 
     #[test]
     fn analysis_of_a_real_recorder_profile_is_consistent() {
-        let mut rec = PhaseRecorder::start(0);
+        let mut rec = PhaseRecorder::start(0, std::time::Instant::now());
         for i in 0..10u64 {
             rec.mark(ProfPhase::MailboxDrain);
             rec.mark(ProfPhase::Compute);
@@ -587,18 +604,24 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_names_worker_tracks() {
+    fn appended_tracks_name_workers_and_tile_phase_totals() {
         let p = profile(vec![
             worker(0, [100, 10, 20, 5], vec![sample([100, 10, 20, 5], 7, 1)]),
-            worker(1, [90, 10, 30, 5], vec![sample([90, 10, 30, 5], 3, 0)]),
+            // A final partial window outside every sample: 4 ns of mailbox.
+            worker(1, [90, 14, 30, 5], vec![sample([90, 10, 30, 5], 3, 0)]),
         ]);
-        let trace = profile_chrome_trace(&p);
-        assert!(trace.contains("\"process_name\""));
+        let mut w = TraceWriter::default();
+        append_profile_tracks(&mut w, &p);
+        let trace = w.finish();
+        assert!(trace.contains("\"name\": \"des-workers\""));
         assert!(trace.contains("\"name\": \"worker 0 (4 LPs, 100 events)\""));
         assert!(trace.contains("\"name\": \"worker 1 (4 LPs, 100 events)\""));
         assert!(trace.contains("\"name\": \"stall\""));
         assert!(trace.contains("\"limiter\": 0"));
         assert!(trace.contains("\"name\": \"windows\""));
         assert!(trace.contains("\"name\": \"w0\""));
+        assert!(trace.contains(
+            "\"tid\": 1, \"name\": \"mailbox\", \"cat\": \"des\", \"ts\": 0.135, \"dur\": 0.004"
+        ));
     }
 }

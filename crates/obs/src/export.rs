@@ -250,7 +250,7 @@ pub fn metrics_json(reg: &Registry) -> String {
 /// counter tracks (`"ph": "C"`): with no live time series available,
 /// each nonzero counter gets a two-point 0 → final ramp across the run.
 pub fn chrome_trace(reg: &Registry) -> String {
-    chrome_trace_with_counters(reg, &[])
+    chrome_trace_with_counters(reg, &[]).finish()
 }
 
 /// [`chrome_trace`] with explicit counter time series (as retained by a
@@ -258,7 +258,14 @@ pub fn chrome_trace(reg: &Registry) -> String {
 /// Perfetto counter track with one `"ph": "C"` event per sample, so the
 /// counter's trajectory lines up with the span tracks. An empty `series`
 /// falls back to two-point ramps from the final snapshot.
-pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u64)>)]) -> String {
+///
+/// The writer comes back unfinished, so a caller can append more tracks
+/// on the same time axis (process 1 is taken) before
+/// [`TraceWriter::finish`].
+pub fn chrome_trace_with_counters(
+    reg: &Registry,
+    series: &[(String, Vec<(u64, u64)>)],
+) -> TraceWriter {
     let snap = reg.snapshot();
     let mut w = TraceWriter::default();
     // Perfetto groups tracks by process; without a process_name metadata
@@ -296,7 +303,7 @@ pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u
             }
         }
     }
-    w.finish()
+    w
 }
 
 /// Human-readable metrics table.
@@ -475,7 +482,7 @@ mod tests {
             names::DES_EVENTS.to_string(),
             vec![(0u64, 0u64), (500, 400), (1500, 900), (2000, 1000)],
         )];
-        let json = chrome_trace_with_counters(&r, &series);
+        let json = chrome_trace_with_counters(&r, &series).finish();
         let v = serde_json::parse(&json).expect("trace JSON must parse");
         let events = as_seq(v.get("traceEvents").unwrap());
         let c: Vec<_> = events

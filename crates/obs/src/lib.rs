@@ -35,11 +35,12 @@
 //!   recorded per thread and exported as Chrome trace events
 //!   (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)-loadable).
 //! * [`perfetto::TraceWriter`] — the one Chrome trace-event writer; the
-//!   span trace here, `pioeval requests --chrome` and `pioeval profile
-//!   --chrome` are all built on it, and every hand-written JSON document
-//!   in the workspace escapes its strings with [`export::esc`].
+//!   span trace here (with the DES worker-phase tracks appended when a
+//!   run is profiled) and `pioeval requests --chrome` are built on it,
+//!   and every hand-written JSON document in the workspace escapes its
+//!   strings with [`export::esc`].
 //! * [`LiveExporter`] — a sampler thread streaming delta-encoded JSONL
-//!   frames to a tailable file or TCP clients while the run is going
+//!   frames to a tailable file while the run is going
 //!   (see [`mod@live`]), without ever locking a hot path.
 //!
 //! ## Quickstart

@@ -6,8 +6,8 @@
 //! [`LiveExporter`]: a sampler thread that takes non-destructive
 //! [`Registry::snapshot_instruments`] snapshots on a configurable
 //! interval, delta-encodes each against the previous one, and appends the
-//! result as timestamped JSONL frames to a tailable file and/or serves
-//! them to clients of a local TCP socket.
+//! result as timestamped JSONL frames to a tailable file (`pioeval watch
+//! FILE` is the consumer).
 //!
 //! ## Lock discipline
 //!
@@ -28,8 +28,7 @@
 //! histograms as `{count,sum}` increments plus per-bucket increments.
 //! Summing a stream's counter deltas reproduces the post-mortem totals
 //! exactly (the round-trip equivalence the CLI's `watch` relies on). A
-//! `sync` frame — the same shape, delta-encoded against zero — re-bases
-//! late-joining TCP clients; a final `done` frame marks completion.
+//! final `done` frame marks completion.
 //!
 //! Frames are JSON objects, one per line, schema `pioeval-live/1`:
 //!
@@ -51,7 +50,6 @@ use crate::registry::{InstrumentTotals, Registry};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -74,8 +72,6 @@ pub struct LiveConfig {
     /// Append frames to this file (created/truncated at start; flushed
     /// per frame so `tail -f` and `pioeval watch` see them promptly).
     pub file: Option<PathBuf>,
-    /// Serve frames to TCP clients on this address (e.g. `127.0.0.1:0`).
-    pub addr: Option<String>,
     /// Run identifier stamped into every frame.
     pub run_id: String,
 }
@@ -285,30 +281,19 @@ pub struct LiveExporter {
     tx: Sender<Cmd>,
     join: Option<JoinHandle<FinishReport>>,
     phase: Arc<Mutex<String>>,
-    local_addr: Option<SocketAddr>,
 }
 
 impl LiveExporter {
     /// Start sampling `registry` per `cfg` on a background thread.
     ///
-    /// Fails if the output file can't be created or the TCP address can't
-    /// be bound. With neither sink configured the sampler still runs (the
-    /// counter series still feed the Chrome trace), it just writes no
-    /// frames anywhere.
+    /// Fails if the output file can't be created. Without a file the
+    /// sampler still runs (the counter series still feed the Chrome
+    /// trace), it just writes no frames anywhere.
     pub fn start(registry: &'static Registry, cfg: LiveConfig) -> io::Result<LiveExporter> {
         let file = match &cfg.file {
             Some(p) => Some(File::create(p)?),
             None => None,
         };
-        let listener = match &cfg.addr {
-            Some(a) => {
-                let l = TcpListener::bind(a)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
         let phase = Arc::new(Mutex::new(String::from("start")));
         let (tx, rx) = mpsc::channel::<Cmd>();
         let interval = cfg
@@ -324,8 +309,6 @@ impl LiveExporter {
                     run_id,
                     phase: phase_for_thread,
                     file,
-                    listener,
-                    clients: Vec::new(),
                     prev: InstrumentTotals::default(),
                     seq: 0,
                     frames: 0,
@@ -338,10 +321,7 @@ impl LiveExporter {
                             s.sample("done");
                             break;
                         }
-                        Ok(Cmd::Pulse) | Err(RecvTimeoutError::Timeout) => {
-                            s.accept_clients();
-                            s.sample("delta");
-                        }
+                        Ok(Cmd::Pulse) | Err(RecvTimeoutError::Timeout) => s.sample("delta"),
                         Err(RecvTimeoutError::Disconnected) => {
                             // Exporter dropped without finish(): still
                             // terminate the stream cleanly.
@@ -359,13 +339,7 @@ impl LiveExporter {
             tx,
             join: Some(join),
             phase,
-            local_addr,
         })
-    }
-
-    /// The bound TCP address, when serving (`127.0.0.1:0` resolves here).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local_addr
     }
 
     /// Tag subsequent frames with `phase` and sample immediately, so
@@ -406,8 +380,6 @@ struct Sampler {
     run_id: String,
     phase: Arc<Mutex<String>>,
     file: Option<File>,
-    listener: Option<TcpListener>,
-    clients: Vec<TcpStream>,
     prev: InstrumentTotals,
     seq: u64,
     frames: u64,
@@ -420,44 +392,7 @@ impl Sampler {
         self.registry.since_epoch_ns(Instant::now()) / 1_000
     }
 
-    /// Accept any pending TCP clients; each newcomer is re-based with a
-    /// `sync` frame (current totals delta-encoded against zero) so its
-    /// replay converges to the same totals as a from-the-start tail.
-    fn accept_clients(&mut self) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
-        loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    let d = delta(&InstrumentTotals::default(), &self.prev);
-                    let line = frame_json(
-                        &self.run_id,
-                        self.seq,
-                        self.now_us(),
-                        "sync",
-                        &self.last_phase,
-                        self.prev.open_spans,
-                        &d,
-                    );
-                    let ok = stream
-                        .write_all(line.as_bytes())
-                        .and_then(|()| stream.write_all(b"\n"))
-                        .is_ok();
-                    if ok {
-                        self.clients.push(stream);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-
     fn sample(&mut self, kind: &str) {
-        if kind == "done" {
-            self.accept_clients();
-        }
         let cur = self.registry.snapshot_instruments();
         let d = delta(&self.prev, &cur);
         let phase = self.phase.lock().expect("live phase poisoned").clone();
@@ -484,11 +419,6 @@ impl Sampler {
             let _ = f.write_all(b"\n");
             let _ = f.flush();
         }
-        self.clients.retain_mut(|c| {
-            c.write_all(line.as_bytes())
-                .and_then(|()| c.write_all(b"\n"))
-                .is_ok()
-        });
         self.seq += 1;
         self.frames += 1;
         self.last_phase = phase;
@@ -537,11 +467,6 @@ pub fn install(exporter: LiveExporter) {
         .expect("live exporter poisoned")
         .replace(exporter);
     drop(prev);
-}
-
-/// True when a process-wide exporter is installed.
-pub fn is_active() -> bool {
-    active().lock().expect("live exporter poisoned").is_some()
 }
 
 /// Tag frames with a phase label and sample immediately (no-op when no
@@ -670,16 +595,18 @@ mod tests {
         let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
         let path =
             std::env::temp_dir().join(format!("pioeval_live_test_{}.jsonl", std::process::id()));
-        let exporter = LiveExporter::start(
-            reg,
-            LiveConfig {
-                interval: Some(Duration::from_millis(5)),
-                file: Some(path.clone()),
-                addr: None,
-                run_id: "t".to_string(),
-            },
-        )
-        .expect("start live exporter");
+        let start = || {
+            LiveExporter::start(
+                reg,
+                LiveConfig {
+                    interval: Some(Duration::from_millis(5)),
+                    file: Some(path.clone()),
+                    run_id: "t".to_string(),
+                },
+            )
+            .expect("start live exporter")
+        };
+        let exporter = start();
         reg.counter("x").add(3);
         exporter.set_phase("one");
         std::thread::sleep(Duration::from_millis(20));
@@ -697,7 +624,6 @@ mod tests {
         assert_eq!(x.1.last().map(|&(_, v)| v), Some(7));
 
         let text = std::fs::read_to_string(&path).expect("read frames");
-        let _ = std::fs::remove_file(&path);
         let mut total_x = 0u64;
         let mut last_t = 0u64;
         let mut saw_done = false;
@@ -727,54 +653,15 @@ mod tests {
         }
         assert_eq!(total_x, 7, "summed deltas reproduce the total");
         assert!(saw_done, "stream must end with a done frame");
-    }
 
-    #[test]
-    fn tcp_clients_get_sync_then_deltas() {
-        let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
-        let exporter = LiveExporter::start(
-            reg,
-            LiveConfig {
-                interval: Some(Duration::from_millis(5)),
-                file: None,
-                addr: Some("127.0.0.1:0".to_string()),
-                run_id: "t".to_string(),
-            },
-        )
-        .expect("start live exporter");
-        let addr = exporter.local_addr().expect("bound addr");
-        reg.counter("y").add(2);
+        // Dropping (not finishing) an exporter still writes `done`.
+        let exporter = start();
+        reg.counter("x").add(1);
         exporter.pulse();
-        std::thread::sleep(Duration::from_millis(15));
-        let stream = TcpStream::connect(addr).expect("connect");
-        std::thread::sleep(Duration::from_millis(15));
-        reg.counter("y").add(5);
-        exporter.pulse();
-        std::thread::sleep(Duration::from_millis(15));
-        drop(exporter); // Drop (not finish) must still write `done`.
-        use std::io::Read;
-        let mut text = String::new();
-        let mut stream = stream;
-        stream
-            .read_to_string(&mut text)
-            .expect("read until server close");
-        let mut total = 0u64;
-        for line in text.lines() {
-            if let Some(i) = line.find("\"y\":") {
-                let tail = &line[i + 4..];
-                let end = tail
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(tail.len());
-                total += tail[..end].parse::<u64>().unwrap_or(0);
-            }
-        }
-        assert!(
-            text.lines()
-                .next()
-                .is_some_and(|l| l.contains("\"kind\":\"sync\"")),
-            "first line to a late joiner is the sync frame: {text}"
-        );
-        assert_eq!(total, 7, "sync + deltas reproduce the total");
-        assert!(text.contains("\"kind\":\"done\""));
+        drop(exporter);
+        let text = std::fs::read_to_string(&path).expect("read frames");
+        let _ = std::fs::remove_file(&path);
+        let last = text.lines().last().expect("frames after drop");
+        assert!(last.contains("\"kind\":\"done\""), "{text}");
     }
 }

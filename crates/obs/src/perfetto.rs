@@ -1,10 +1,11 @@
 //! The one Chrome trace-event writer behind every trace export.
 //!
-//! Three documents are built on [`TraceWriter`]: the wall-clock
+//! Two documents are built on [`TraceWriter`]: the wall-clock
 //! self-telemetry trace (`--trace-out`,
-//! [`crate::export::chrome_trace_with_counters`]), the simulated-time
-//! request trace (`pioeval requests --chrome`) and the per-worker DES
-//! phase profile (`pioeval profile --chrome`). All three load in
+//! [`crate::export::chrome_trace_with_counters`]) and the simulated-time
+//! request trace (`pioeval requests --chrome`). When a run is profiled,
+//! the per-worker DES phase tracks are appended to the wall-clock trace
+//! as a second process, on the same axis as the spans. Both load in
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
 //!
 //! The layout lives here and nowhere else: the object form with

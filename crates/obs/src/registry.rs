@@ -94,6 +94,11 @@ impl Registry {
         }
     }
 
+    /// The instant span and live-frame timestamps count from.
+    pub fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
     /// Nanoseconds between the registry epoch and `t` (0 if `t` precedes
     /// the epoch).
     pub fn since_epoch_ns(&self, t: Instant) -> u64 {

@@ -18,7 +18,7 @@
 //! A recorder keeps a single *last stamp*. Every [`PhaseRecorder::mark`]
 //! reads the clock once, attributes the entire segment since the last
 //! stamp to exactly one phase, and advances the stamp. The worker's
-//! recorded span is the final stamp, so
+//! recorded span runs from construction to the final stamp, so
 //!
 //! ```text
 //! sum(phase_ns) == span_ns        (exactly, in integer nanoseconds)
@@ -93,7 +93,10 @@ impl ProfPhase {
 /// One worker's phase breakdown for a single committed window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowSample {
-    /// Window start offset from the worker's recording epoch (ns).
+    /// Window start, in ns since the epoch the recorder was started
+    /// with. The parallel executor passes the telemetry registry's
+    /// epoch, so samples share the time axis of the `--trace-out` spans;
+    /// a worker's first window starts when its recorder was built.
     pub start_ns: u64,
     /// Wall-clock nanoseconds per phase, indexed by [`ProfPhase::index`].
     pub phase_ns: [u64; PROF_PHASES],
@@ -361,24 +364,21 @@ pub struct PhaseRecorder {
 }
 
 impl PhaseRecorder {
-    /// Start recording for `worker`, with the default sample cap. The
-    /// epoch is the moment of construction.
-    pub fn start(worker: u32) -> Self {
-        Self::start_capped(worker, PROF_SAMPLE_CAP)
-    }
-
-    /// Start recording with an explicit per-window sample cap.
-    pub fn start_capped(worker: u32, cap: usize) -> Self {
+    /// Start recording for `worker` now. Timestamps count from `epoch`
+    /// (the caller's time origin); the span starts at construction, so
+    /// the time before it is attributed to no phase.
+    pub fn start(worker: u32, epoch: Instant) -> Self {
+        let now_ns = epoch.elapsed().as_nanos() as u64;
         PhaseRecorder {
-            epoch: Instant::now(),
-            last_ns: 0,
-            window_start_ns: 0,
+            epoch,
+            last_ns: now_ns,
+            window_start_ns: now_ns,
             cur_phase_ns: [0; PROF_PHASES],
             profile: WorkerProfile {
                 worker,
                 ..WorkerProfile::default()
             },
-            cap,
+            cap: PROF_SAMPLE_CAP,
         }
     }
 
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn recorder_phase_totals_tile_span_exactly() {
-        let mut rec = PhaseRecorder::start(3);
+        let mut rec = PhaseRecorder::start(3, Instant::now());
         for w in 0..100u64 {
             rec.mark(ProfPhase::MailboxDrain);
             if w % 3 == 0 {
@@ -477,7 +477,8 @@ mod tests {
 
     #[test]
     fn sample_cap_counts_drops_but_keeps_totals() {
-        let mut rec = PhaseRecorder::start_capped(0, 4);
+        let mut rec = PhaseRecorder::start(0, Instant::now());
+        rec.cap = 4;
         for _ in 0..10 {
             rec.mark(ProfPhase::Compute);
             rec.end_window(1, NO_LIMITER);
@@ -491,7 +492,7 @@ mod tests {
 
     #[test]
     fn exec_profile_json_has_schema_and_workers() {
-        let mut rec = PhaseRecorder::start(0);
+        let mut rec = PhaseRecorder::start(0, Instant::now());
         rec.mark(ProfPhase::Compute);
         rec.end_window(5, 1);
         let prof = ExecProfile {
@@ -517,7 +518,7 @@ mod tests {
 
     #[test]
     fn no_limiter_serializes_as_minus_one() {
-        let mut rec = PhaseRecorder::start(0);
+        let mut rec = PhaseRecorder::start(0, Instant::now());
         rec.mark(ProfPhase::Compute);
         rec.end_window(0, NO_LIMITER);
         let prof = ExecProfile {

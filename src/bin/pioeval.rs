@@ -34,7 +34,7 @@ USAGE:
   pioeval dsl <FILE> [OPTIONS]              simulate a DSL-described workload
   pioeval lint <FILE> [LINT OPTIONS]        static-analyse an input file
   pioeval lint --explain <PIO0xx>           explain one diagnostic code
-  pioeval watch <FILE|ADDR> [WATCH OPTIONS] tail a live telemetry stream
+  pioeval watch <FILE> [WATCH OPTIONS]      tail a live telemetry stream
   pioeval requests <FILE> [REQ OPTIONS]     analyze a --request-trace file
   pioeval profile <FILE> [PROFILE OPTIONS]  analyze a --profile-out file
   pioeval bench [BENCH OPTIONS]             benchmark the framework itself
@@ -84,7 +84,9 @@ OPTIONS:
                        (json: the metrics document alone on stdout)
   --trace-out <FILE>   write a *wall-clock* Chrome/Perfetto trace of the
                        framework's own telemetry spans (counters render
-                       as Perfetto counter tracks)
+                       as Perfetto counter tracks; with --profile-out,
+                       a `des-workers` process adds each worker's phase
+                       track and a window track on the same axis)
   --request-trace <FILE>
                        record every I/O request's path through the stack
                        in *simulated time* and write per-request spans
@@ -99,15 +101,14 @@ OPTIONS:
                        per-window phase timeline (compute / mailbox /
                        barrier / horizon-stall, wall-clock) and write
                        the merged pioeval-profile/1 JSON document;
-                       analyze with `pioeval profile FILE`. Sequential
+                       analyze with `pioeval profile FILE`; see the
+                       timelines via --trace-out. Sequential
                        runs have no workers to profile — the flag is
                        then noted and skipped
   --quiet              suppress the always-on telemetry summary line
   --live-out <FILE>    stream delta-encoded telemetry frames (JSONL) to
                        FILE while the run is going; tail with
                        `pioeval watch FILE`
-  --live-addr <ADDR>   serve the same frames to TCP clients on ADDR
-                       (e.g. 127.0.0.1:0; the bound port is printed)
   --live-interval <MS> live sampling interval in ms       [default: 250]
   --run-id <ID>        run id stamped into live frames
 
@@ -136,11 +137,8 @@ PROFILE OPTIONS (pioeval profile <FILE>):
   --json               machine-readable lost-parallelism attribution on
                        stdout (per-worker phase breakdown, critical
                        workers, named causes, what-if speedup ceilings)
-  --chrome <FILE>      also export the phase timelines as a wall-clock
-                       Chrome/Perfetto trace: one named track per
-                       worker plus a window-boundary track
 
-WATCH OPTIONS (pioeval watch <FILE|host:port>):
+WATCH OPTIONS (pioeval watch <FILE>):
   --follow-until-done  exit 0 only after a `done` frame arrives (CI);
                        an idle timeout without one is an error
   --timeout <SECS>     idle timeout                       [default: 30]
@@ -216,7 +214,6 @@ struct Options {
     profile_out: Option<String>,
     quiet: bool,
     live_out: Option<String>,
-    live_addr: Option<String>,
     live_interval_ms: Option<u64>,
     run_id: Option<String>,
     des_threads: Option<usize>,
@@ -242,7 +239,6 @@ impl Default for Options {
             profile_out: None,
             quiet: false,
             live_out: None,
-            live_addr: None,
             live_interval_ms: None,
             run_id: None,
             des_threads: None,
@@ -372,7 +368,6 @@ fn options_from(flags: &HashMap<String, String>) -> Result<Options, String> {
     }
     opts.quiet = flags.contains_key("quiet");
     opts.live_out = flags.get("live-out").cloned();
-    opts.live_addr = flags.get("live-addr").cloned();
     if let Some(v) = parse(flags, "live-interval")? {
         if v == 0 {
             return Err("--live-interval must be > 0".into());
@@ -406,7 +401,6 @@ fn options_from(flags: &HashMap<String, String>) -> Result<Options, String> {
             "profile-out",
             "quiet",
             "live-out",
-            "live-addr",
             "live-interval",
             "run-id",
             "des-threads",
@@ -691,10 +685,10 @@ fn say(opts: &Options, text: &str) {
     }
 }
 
-/// Start the live frame exporter when `--live-out`/`--live-addr` ask for
-/// one, after pre-flight linting every output path the run will write
-/// (PIO060/061 — warnings, so a suspect path is reported but never
-/// aborts). Call before the measured work; [`emit_telemetry`] finalizes.
+/// Start the live frame exporter when `--live-out` asks for one, after
+/// pre-flight linting every output path the run will write (PIO060/061
+/// — warnings, so a suspect path is reported but never aborts). Call
+/// before the measured work; [`emit_telemetry`] finalizes.
 fn install_live(opts: &Options, default_run_id: &str) -> Result<(), String> {
     let mut outputs: Vec<(&str, &String)> = Vec::new();
     if let Some(p) = &opts.trace_out {
@@ -709,13 +703,12 @@ fn install_live(opts: &Options, default_run_id: &str) -> Result<(), String> {
     for (flag, path) in outputs {
         preflight(flag, &pioeval::lint::lint_output_path(flag, path))?;
     }
-    if opts.live_out.is_none() && opts.live_addr.is_none() {
+    let Some(path) = &opts.live_out else {
         return Ok(());
-    }
+    };
     let cfg = pioeval::obs::LiveConfig {
         interval: opts.live_interval_ms.map(std::time::Duration::from_millis),
-        file: opts.live_out.clone().map(std::path::PathBuf::from),
-        addr: opts.live_addr.clone(),
+        file: Some(path.into()),
         run_id: opts
             .run_id
             .clone()
@@ -723,12 +716,7 @@ fn install_live(opts: &Options, default_run_id: &str) -> Result<(), String> {
     };
     let exporter = pioeval::obs::LiveExporter::start(pioeval::obs::global(), cfg)
         .map_err(|e| format!("cannot start live exporter: {e}"))?;
-    if let Some(addr) = exporter.local_addr() {
-        say(opts, &format!("live: serving frames on {addr}\n"));
-    }
-    if let Some(path) = &opts.live_out {
-        say(opts, &format!("live: streaming frames to {path}\n"));
-    }
+    say(opts, &format!("live: streaming frames to {path}\n"));
     pioeval::obs::live::install(exporter);
     Ok(())
 }
@@ -738,8 +726,12 @@ fn install_live(opts: &Options, default_run_id: &str) -> Result<(), String> {
 /// must describe the same totals), then the one-line summary (unless
 /// `--quiet`), the optional `--metrics` document, and the optional
 /// `--trace-out` Chrome trace file — with live counter time-series
-/// rendered as Perfetto counter tracks when a sampler ran.
-fn emit_telemetry(opts: &Options) -> Result<(), String> {
+/// rendered as Perfetto counter tracks when a sampler ran, and the
+/// worker-phase tracks of `profile` when the run was profiled.
+fn emit_telemetry(
+    opts: &Options,
+    profile: Option<&pioeval::types::ExecProfile>,
+) -> Result<(), String> {
     let live = pioeval::obs::live::finish();
     let reg = pioeval::obs::global();
     if !opts.quiet {
@@ -756,7 +748,11 @@ fn emit_telemetry(opts: &Options) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
         let series: &[(String, Vec<(u64, u64)>)] =
             live.as_ref().map(|r| r.series.as_slice()).unwrap_or(&[]);
-        let trace = pioeval::obs::export::chrome_trace_with_counters(reg, series);
+        let mut trace = pioeval::obs::export::chrome_trace_with_counters(reg, series);
+        if let Some(p) = profile {
+            pioeval::monitor::append_profile_tracks(&mut trace, p);
+        }
+        let trace = trace.finish();
         std::fs::write(path, trace).map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         say(opts, &format!("trace written to {path}\n"));
     }
@@ -979,7 +975,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     say(&opts, &render_report(&report));
     emit_request_trace(&opts, &report)?;
     emit_profile(&opts, &report)?;
-    emit_telemetry(&opts)
+    emit_telemetry(&opts, report.exec_profile.as_ref())
 }
 
 fn cmd_dsl(args: &[String]) -> Result<(), String> {
@@ -1040,7 +1036,7 @@ fn cmd_dsl(args: &[String]) -> Result<(), String> {
     say(&opts, &render_report(&report));
     emit_request_trace(&opts, &report)?;
     emit_profile(&opts, &report)?;
-    emit_telemetry(&opts)
+    emit_telemetry(&opts, report.exec_profile.as_ref())
 }
 
 /// Fold a campaign's scripted `fail` lines into the target's
@@ -1161,7 +1157,7 @@ fn run_campaign(
             ),
         );
     }
-    emit_telemetry(opts)
+    emit_telemetry(opts, None)
 }
 
 /// Numeric JSON value as f64 (the shimmed parser splits number kinds).
@@ -1524,7 +1520,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                         pioeval::obs::LiveConfig {
                             interval: None,
                             file: Some(live_path.clone()),
-                            addr: None,
                             run_id: "bench-live".to_string(),
                         },
                     )
@@ -1681,9 +1676,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 }
 
 /// Replay state for `pioeval watch`: the totals a frame stream
-/// accumulates to. Summing delta frames (with `sync` frames re-basing)
-/// converges to the same counter totals as the run's post-mortem
-/// `--metrics json` document — that round trip is tested in CI.
+/// accumulates to. Summing delta frames converges to the same counter
+/// totals as the run's post-mortem `--metrics json` document — that
+/// round trip is tested in CI.
 #[derive(Default)]
 struct WatchState {
     run: String,
@@ -1734,13 +1729,6 @@ impl WatchState {
             .get("t_us")
             .and_then(json_u64)
             .ok_or("frame missing t_us")?;
-        if kind == "sync" {
-            // A sync frame is the full totals delta-encoded against
-            // zero: restart the replay from scratch.
-            self.counters.clear();
-            self.gauges.clear();
-            self.spans_done = 0;
-        }
         let mut ev_delta = 0u64;
         let mut byte_delta = 0u64;
         if let Some(serde_json::Value::Map(entries)) = frame.get("counters") {
@@ -1776,10 +1764,9 @@ impl WatchState {
         if let Some(phase) = str_of("phase") {
             self.phase = phase;
         }
-        // Rates from the deltas over the frame interval; a sync frame
-        // compresses the whole history into one frame, so no rate there.
+        // Rates from the deltas over the frame interval.
         let dt_s = t_us.saturating_sub(self.last_t_us) as f64 / 1e6;
-        if kind != "sync" && self.frames > 0 && dt_s > 0.0 {
+        if self.frames > 0 && dt_s > 0.0 {
             self.ev_rate = ev_delta as f64 / dt_s;
             self.byte_rate = byte_delta as f64 / dt_s;
         }
@@ -1848,70 +1835,31 @@ impl FileTail {
     /// Read lines appended since the previous call. A missing file is
     /// "no lines yet" (the producer may not have created it), and a
     /// partial trailing line stays unconsumed until its newline lands.
-    fn read_lines(&mut self) -> Vec<String> {
+    /// A line that is not UTF-8 comes back as `Err` with its bytes
+    /// consumed, so the tail moves past it.
+    fn read_lines(&mut self) -> Vec<Result<String, std::str::Utf8Error>> {
         use std::io::{Read, Seek, SeekFrom};
         let Ok(mut f) = std::fs::File::open(&self.path) else {
             return Vec::new();
         };
-        if f.seek(SeekFrom::Start(self.offset)).is_err() {
+        let mut buf = Vec::new();
+        if f.seek(SeekFrom::Start(self.offset)).is_err() || f.read_to_end(&mut buf).is_err() {
             return Vec::new();
         }
-        let mut buf = String::new();
-        if f.read_to_string(&mut buf).is_err() {
-            return Vec::new();
-        }
-        let consumed = buf.rfind('\n').map(|i| i + 1).unwrap_or(0);
+        let consumed = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         self.offset += consumed as u64;
-        buf[..consumed].lines().map(str::to_string).collect()
+        buf[..consumed]
+            .split_inclusive(|&b| b == b'\n')
+            .map(|line| {
+                let line = line.strip_suffix(b"\n").unwrap_or(line);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                std::str::from_utf8(line).map(str::to_string)
+            })
+            .collect()
     }
 }
 
-/// Tail of a live TCP frame stream (read timeout keeps polls short).
-struct TcpTail {
-    reader: std::io::BufReader<std::net::TcpStream>,
-    pending: String,
-    closed: bool,
-}
-
-impl TcpTail {
-    fn read_lines(&mut self) -> Vec<String> {
-        use std::io::BufRead;
-        let mut out = Vec::new();
-        loop {
-            let mut chunk = String::new();
-            match self.reader.read_line(&mut chunk) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
-                Ok(_) => {
-                    self.pending.push_str(&chunk);
-                    if self.pending.ends_with('\n') {
-                        out.push(self.pending.trim_end().to_string());
-                        self.pending.clear();
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Keep any partial line for the next poll.
-                    self.pending.push_str(&chunk);
-                    break;
-                }
-                Err(_) => {
-                    self.closed = true;
-                    break;
-                }
-            }
-        }
-        out
-    }
-}
-
-/// `pioeval watch <FILE|host:port>`: tail a live frame stream and render
+/// `pioeval watch <FILE>`: tail a live frame stream and render
 /// an in-place refreshing status line (plain lines when stdout is not a
 /// terminal). `--follow-until-done` makes a missing `done` frame an
 /// error; `--json` prints the replayed totals as one document at exit.
@@ -1925,7 +1873,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     }
     let target = positional
         .first()
-        .ok_or("watch requires a <FILE|ADDR> argument")?;
+        .ok_or("watch requires a <FILE> argument")?;
     if positional.len() > 1 {
         return Err(format!("unexpected argument `{}`", positional[1]));
     }
@@ -1940,44 +1888,31 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             .ok_or(format!("bad --timeout: {v}"))?,
     };
 
-    // A parseable socket address is a TCP stream; anything else a file.
-    let mut tcp = match target.parse::<std::net::SocketAddr>() {
-        Ok(addr) => {
-            let stream = std::net::TcpStream::connect(addr)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(200)))
-                .map_err(|e| e.to_string())?;
-            Some(TcpTail {
-                reader: std::io::BufReader::new(stream),
-                pending: String::new(),
-                closed: false,
-            })
-        }
-        Err(_) => None,
-    };
-    let mut file = tcp.is_none().then(|| FileTail {
+    let mut file = FileTail {
         path: target.clone(),
         offset: 0,
-    });
+    };
 
     let in_place = std::io::stdout().is_terminal() && !json_out;
     let mut state = WatchState::default();
     let mut idle = std::time::Instant::now();
     loop {
-        let lines = match (&mut tcp, &mut file) {
-            (Some(t), _) => t.read_lines(),
-            (None, Some(f)) => f.read_lines(),
-            (None, None) => unreachable!("watch source"),
-        };
+        let lines = file.read_lines();
         let got_frames = !lines.is_empty();
         for line in &lines {
-            if line.trim().is_empty() {
-                continue;
-            }
             // A malformed or truncated frame (producer died mid-write,
-            // torn append, stray garbage) must not abort the watch: the
-            // stream beyond it is still good. Warn and skip the line.
+            // torn append, stray garbage, bytes that are not UTF-8) must
+            // not abort the watch: the stream beyond it is still good.
+            // Warn and skip the line.
+            let line = match line {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => line,
+                Err(e) => {
+                    state.malformed += 1;
+                    eprintln!("watch: skipping frame that is not UTF-8 ({e})");
+                    continue;
+                }
+            };
             let frame = match serde_json::parse(line) {
                 Ok(frame) => frame,
                 Err(e) => {
@@ -2006,8 +1941,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         if got_frames {
             idle = std::time::Instant::now();
         } else {
-            let stream_closed = tcp.as_ref().is_some_and(|t| t.closed);
-            if stream_closed || idle.elapsed().as_secs_f64() > timeout {
+            if idle.elapsed().as_secs_f64() > timeout {
                 if follow {
                     return Err(format!(
                         "stream ended without a `done` frame ({} frames replayed)",
@@ -2476,7 +2410,7 @@ fn render_profile(
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     for key in flags.keys() {
-        if !["json", "chrome"].contains(&key.as_str()) {
+        if key != "json" {
             return Err(format!("unknown option --{key}"));
         }
     }
@@ -2494,13 +2428,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             "{path}: phase durations do not tile the worker spans — \
              corrupt or truncated profile"
         ));
-    }
-    if let Some(out) = flags.get("chrome") {
-        std::fs::write(out, pioeval::monitor::profile_chrome_trace(&prof))
-            .map_err(|e| format!("cannot write chrome trace to {out}: {e}"))?;
-        if !json_out {
-            println!("per-worker chrome trace written to {out}");
-        }
     }
     let analysis = pioeval::monitor::analyze_profile(&prof);
     if json_out {
@@ -2772,7 +2699,7 @@ mod tests {
     }
 
     #[test]
-    fn watch_state_replays_deltas_and_rebases_on_sync() {
+    fn watch_state_replays_deltas_until_done() {
         let mut st = WatchState::default();
         let apply =
             |st: &mut WatchState, line: &str| st.apply(&serde_json::parse(line).unwrap()).unwrap();
@@ -2795,19 +2722,10 @@ mod tests {
         assert_eq!(st.spans_done, 2);
         assert_eq!(st.phase, "b");
         assert!((st.ev_rate - 5000.0).abs() < 1.0, "{}", st.ev_rate);
-        // A sync frame replaces the accumulated totals outright.
-        apply(
-            &mut st,
-            "{\"schema\":\"pioeval-live/1\",\"run\":\"r\",\"seq\":2,\"t_us\":1200,\
-             \"kind\":\"sync\",\"phase\":\"b\",\"open_spans\":0,\
-             \"counters\":{\"des.live.events\":40}}",
-        );
-        assert_eq!(st.counter("des.live.events"), 40);
-        assert_eq!(st.counter("obj.put_bytes"), 0);
         assert!(!st.done);
         apply(
             &mut st,
-            "{\"schema\":\"pioeval-live/1\",\"run\":\"r\",\"seq\":3,\"t_us\":1300,\
+            "{\"schema\":\"pioeval-live/1\",\"run\":\"r\",\"seq\":2,\"t_us\":1300,\
              \"kind\":\"done\",\"phase\":\"b\",\"open_spans\":0}",
         );
         assert!(st.done);
@@ -2816,7 +2734,7 @@ mod tests {
             doc.get("counters")
                 .and_then(|c| c.get("des.live.events"))
                 .and_then(json_u64),
-            Some(40)
+            Some(15)
         );
     }
 
@@ -2850,10 +2768,14 @@ mod tests {
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(b"one\ntwo\npart").unwrap();
         f.flush().unwrap();
-        assert_eq!(tail.read_lines(), vec!["one", "two"]);
-        f.write_all(b"ial\n").unwrap();
+        assert_eq!(tail.read_lines(), [Ok("one".into()), Ok("two".into())]);
+        f.write_all(b"ial\r\n\xff\n").unwrap();
         f.flush().unwrap();
-        assert_eq!(tail.read_lines(), vec!["partial"]);
+        let lines = tail.read_lines();
+        assert_eq!(lines[0], Ok("partial".into()));
+        assert!(lines[1].is_err(), "a line that is not UTF-8 is an error");
+        assert_eq!(lines.len(), 2);
+        assert!(tail.read_lines().is_empty(), "and it was consumed");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2921,6 +2843,31 @@ mod tests {
     }
 
     #[test]
+    fn watch_skips_a_line_that_is_not_utf8() {
+        // Regression: one undecodable byte used to stall the tail, so
+        // the `done` frame behind it was never read.
+        let path =
+            std::env::temp_dir().join(format!("pioeval_watch_utf8_{}.jsonl", std::process::id()));
+        let mut bytes = b"{\"schema\":\"pioeval-live/1\",\"run\":\"r\",\"t_us\":100,\
+            \"kind\":\"delta\",\"counters\":{\"des.live.events\":10}}\n"
+            .to_vec();
+        bytes.extend_from_slice(b"\xff\xfe garbage\n");
+        bytes.extend_from_slice(
+            b"{\"schema\":\"pioeval-live/1\",\"run\":\"r\",\"t_us\":200,\"kind\":\"done\"}\n",
+        );
+        std::fs::write(&path, bytes).unwrap();
+        let res = cmd_watch(&strs(&[
+            path.to_str().unwrap(),
+            "--follow-until-done",
+            "--json",
+            "--timeout",
+            "2",
+        ]));
+        let _ = std::fs::remove_file(&path);
+        assert!(res.is_ok(), "{res:?}");
+    }
+
+    #[test]
     fn requests_analyzer_round_trips_a_trace() {
         // Build a tiny assembly, write it the same way `--request-trace`
         // does, and run the analyzer over the file in both modes.
@@ -2973,7 +2920,7 @@ mod tests {
         // `pioeval profile` reads a written file, and a document from
         // before the hand-off existed, end to end.
         use pioeval::types::{ExecProfile, PhaseRecorder, ProfPhase};
-        let mut rec = PhaseRecorder::start(0);
+        let mut rec = PhaseRecorder::start(0, std::time::Instant::now());
         rec.mark(ProfPhase::Compute);
         rec.end_window(3, 1);
         let prof = ExecProfile {

@@ -336,3 +336,135 @@ fn trace_out_carries_live_counter_tracks() {
         "live counter series missing from trace: {counter_tracks:?}"
     );
 }
+
+/// Integer nanoseconds from a trace time printed as microseconds with
+/// three decimals (`"ts": 12.345` → 12345), read from the event's text so
+/// no float rounding can hide a lost nanosecond.
+fn ns_field(line: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\": ");
+    let at = line
+        .find(&pat)
+        .unwrap_or_else(|| panic!("{key} missing: {line}"))
+        + pat.len();
+    let text: String = line[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect();
+    let (us, frac) = text.split_once('.').expect("three decimals");
+    assert_eq!(frac.len(), 3, "{line}");
+    us.parse::<u64>().unwrap() * 1000 + frac.parse::<u64>().unwrap()
+}
+
+/// `run ... --profile-out P --trace-out T`; returns (profile text, trace).
+fn profiled_run(tag: &str, threads: Option<&str>) -> (Option<String>, String) {
+    let profile = scratch(&format!("{tag}-profile.json"));
+    let trace = scratch(&format!("{tag}-trace.json"));
+    let mut args = vec![
+        "run",
+        "--workload",
+        "ior",
+        "--ranks",
+        "16",
+        "--quiet",
+        "--profile-out",
+        profile.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ];
+    if let Some(t) = threads {
+        args.extend(["--des-threads", t]);
+    }
+    let output = pioeval(&args);
+    assert!(
+        output.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let prof = std::fs::read_to_string(&profile).ok();
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    std::fs::remove_file(&profile).ok();
+    std::fs::remove_file(&trace).ok();
+    (prof, text)
+}
+
+#[test]
+fn trace_out_carries_worker_phase_tracks_when_profiling() {
+    let (prof, text) = profiled_run("merged", Some("2"));
+    let prof = serde_json::parse(&prof.expect("profile written")).expect("profile parses");
+    let Some(Value::Seq(workers)) = prof.get("workers") else {
+        panic!("profile has no workers");
+    };
+    assert_eq!(workers.len(), 2);
+    // The writer puts one event per line; keep each event's text next
+    // to its parse so times can be read back exactly.
+    let events: Vec<(&str, Value)> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"ph\""))
+        .map(|l| {
+            let l = l.trim_end_matches(',');
+            (l, serde_json::parse(l).expect("event parses"))
+        })
+        .collect();
+    let field = |e: &Value, k: &str| e.get(k).map(as_u64);
+    let named = |ph_name: &str, pid: u64| -> Vec<(u64, String)> {
+        events
+            .iter()
+            .filter(|(_, e)| e.get("ph").map(as_str) == Some("M"))
+            .filter(|(_, e)| as_str(e.get("name").unwrap()) == ph_name)
+            .filter(|(_, e)| field(e, "pid") == Some(pid))
+            .map(|(_, e)| {
+                let name = as_str(e.get("args").and_then(|a| a.get("name")).unwrap());
+                (field(e, "tid").unwrap(), name.to_string())
+            })
+            .collect()
+    };
+    assert_eq!(named("process_name", 2), [(0, "des-workers".to_string())]);
+    let tracks = named("thread_name", 2);
+    assert_eq!(tracks.len(), workers.len() + 1, "{tracks:?}");
+    assert!(tracks.contains(&(workers.len() as u64, "windows".to_string())));
+
+    let sim = pioeval::obs::names::SPAN_CORE_SIMULATE;
+    let (sim_line, _) = events
+        .iter()
+        .find(|(_, e)| e.get("name").map(as_str) == Some(sim) && field(e, "pid") == Some(1))
+        .expect("core.simulate span");
+    let sim_start = ns_field(sim_line, "ts");
+    let sim_end = sim_start + ns_field(sim_line, "dur");
+
+    for w in workers {
+        let id = as_u64(w.get("worker").unwrap());
+        assert!(
+            tracks
+                .iter()
+                .any(|(tid, n)| *tid == id && n.starts_with("worker ")),
+            "worker {id} has no named track: {tracks:?}"
+        );
+        for phase in ["compute", "mailbox", "barrier", "stall"] {
+            let mut sum = 0;
+            for (line, e) in &events {
+                if e.get("ph").map(as_str) != Some("X")
+                    || field(e, "pid") != Some(2)
+                    || field(e, "tid") != Some(id)
+                {
+                    continue;
+                }
+                let (ts, dur) = (ns_field(line, "ts"), ns_field(line, "dur"));
+                assert!(
+                    sim_start <= ts && ts + dur <= sim_end,
+                    "worker slice outside {sim}: {line}"
+                );
+                if as_str(e.get("name").unwrap()) == phase {
+                    sum += dur;
+                }
+            }
+            let want = as_u64(w.get(&format!("{phase}_ns")).unwrap());
+            assert_eq!(sum, want, "worker {id} {phase}");
+        }
+    }
+
+    // A sequential run has no workers, so the trace gets no process 2.
+    let (prof, text) = profiled_run("sequential", None);
+    assert!(prof.is_none(), "a sequential run writes no profile");
+    assert!(!text.contains("des-workers"));
+    assert!(!text.contains("\"pid\": 2"));
+}
