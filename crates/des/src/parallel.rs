@@ -1030,8 +1030,8 @@ fn run_threaded<M: Send + 'static>(
                     if let Some(r) = rec.as_mut() {
                         // Snapshot read plus inbox intake: the window's
                         // mailbox-drain phase (marked before the
-                        // termination check so the final partial window
-                        // is still accounted).
+                        // termination check; `finish` folds the final
+                        // one into the last window's sample).
                         r.mark(ProfPhase::MailboxDrain);
                     }
                     if t == u64::MAX || was_halted || stop_at.is_some_and(|limit| t > limit) {

@@ -12,7 +12,9 @@ use std::collections::HashMap;
 /// The barrier coordinator entity.
 pub struct JobCoordinator {
     compute_fabric: EntityId,
-    ranks: Vec<EntityId>,
+    /// Entity of rank 0; the job's ranks are `first_rank..first_rank + nranks`.
+    first_rank: EntityId,
+    nranks: u32,
     arrivals: HashMap<u64, u32>,
     /// Barriers completed (post-run inspection).
     pub barriers_released: u64,
@@ -23,11 +25,14 @@ pub struct JobCoordinator {
 }
 
 impl JobCoordinator {
-    /// A coordinator for the given rank entities.
-    pub fn new(compute_fabric: EntityId, ranks: Vec<EntityId>) -> Self {
+    /// A coordinator for a job of `nranks` ranks whose entities are the
+    /// contiguous range starting at `first_rank`. A barrier is released
+    /// once all `nranks` have arrived, to every rank in the range.
+    pub fn new(compute_fabric: EntityId, first_rank: EntityId, nranks: u32) -> Self {
         JobCoordinator {
             compute_fabric,
-            ranks,
+            first_rank,
+            nranks,
             arrivals: HashMap::new(),
             barriers_released: 0,
             obs_barriers: pioeval_obs::global().counter(pioeval_obs::names::IOSTACK_BARRIERS),
@@ -42,14 +47,14 @@ impl Entity<PfsMsg> for JobCoordinator {
         };
         let count = self.arrivals.entry(tag).or_insert(0);
         *count += 1;
-        if *count as usize == self.ranks.len() {
+        if *count == self.nranks {
             self.arrivals.remove(&tag);
             self.barriers_released += 1;
             self.obs_barriers.inc();
-            for &rank in &self.ranks {
+            for i in 0..self.nranks {
                 let (hop, msg) = route(
                     &[self.compute_fabric],
-                    rank,
+                    EntityId(self.first_rank.0 + i),
                     HEADER_BYTES,
                     PfsMsg::App {
                         tag: RELEASE_TAG | tag,

@@ -39,15 +39,29 @@ impl JobSpec {
     }
 }
 
-/// Handle to a launched job.
+/// Handle to a launched job. A launch registers the coordinator and
+/// then every rank in rank order, so the job's rank entities are the
+/// contiguous range `first_rank..first_rank + nranks`
+/// ([`JobHandle::rank`]); jobs launched onto one simulation get
+/// disjoint ranges.
 #[derive(Clone, Debug)]
 pub struct JobHandle {
     /// The coordinator entity.
     pub coordinator: EntityId,
-    /// Rank entities, by rank index.
-    pub ranks: Vec<EntityId>,
+    /// The entity of rank 0.
+    pub first_rank: EntityId,
+    /// Number of ranks.
+    pub nranks: u32,
     /// Submit time.
     pub start: SimTime,
+}
+
+impl JobHandle {
+    /// The entity of rank `i` (`i < nranks`).
+    pub fn rank(&self, i: u32) -> EntityId {
+        debug_assert!(i < self.nranks, "rank {i} of a {}-rank job", self.nranks);
+        EntityId(self.first_rank.0 + i)
+    }
 }
 
 /// Collected results of a completed job.
@@ -139,19 +153,25 @@ fn launch_inner(
     assert!(nranks > 0, "job must have at least one rank");
     let mut total_actions = 0u64;
 
-    // Entity ids are assigned sequentially, so we can precompute the ids
-    // of the coordinator and every rank before constructing them (ranks
-    // need each other's ids for shuffle traffic).
+    // Entity ids are assigned sequentially, so the coordinator and the
+    // ranks' ids are known before they are constructed: the coordinator,
+    // then rank `i` at `first_rank + i` (ranks address each other by
+    // that range for shuffle traffic). The asserts below pin it.
     let base = sim.num_entities() as u32;
     let coordinator_id = EntityId(base);
-    let rank_ids: Vec<EntityId> = (0..nranks).map(|i| EntityId(base + 1 + i)).collect();
+    let handle = JobHandle {
+        coordinator: coordinator_id,
+        first_rank: EntityId(base + 1),
+        nranks,
+        start: spec.start,
+    };
 
-    let coord = JobCoordinator::new(compute_fabric, rank_ids.clone());
+    let coord = JobCoordinator::new(compute_fabric, handle.first_rank, nranks);
     let actual = sim.add_entity("coordinator", Box::new(coord));
     debug_assert_eq!(actual, coordinator_id);
 
     for (i, program) in spec.programs.iter().enumerate() {
-        let me = rank_ids[i];
+        let me = handle.rank(i as u32);
         let client_index = clients.len();
         let port = port_factory(me, client_index);
         let actions = compile(i as u32, nranks, program, &spec.stack);
@@ -160,7 +180,7 @@ fn launch_inner(
             port,
             Rank::new(i as u32),
             coordinator_id,
-            rank_ids.clone(),
+            handle.first_rank,
             actions,
             spec.stack.capture,
         );
@@ -176,11 +196,7 @@ fn launch_inner(
     obs.counter(pioeval_obs::names::IOSTACK_ACTIONS)
         .add(total_actions);
 
-    JobHandle {
-        coordinator: coordinator_id,
-        ranks: rank_ids,
-        start: spec.start,
-    }
+    handle
 }
 
 /// Launch a job onto a PFS cluster: creates the coordinator and one
@@ -223,9 +239,9 @@ fn collect_from(sim: &Simulation<PfsMsg>, handle: &JobHandle) -> JobResult {
     let mut counters = Vec::new();
     let mut profiles = Vec::new();
     let mut finished = Vec::new();
-    for &id in &handle.ranks {
+    for i in 0..handle.nranks {
         let rank = sim
-            .entity_ref::<RankClient>(id)
+            .entity_ref::<RankClient>(handle.rank(i))
             .expect("job rank entity missing");
         records.push(rank.records.clone());
         counters.push(rank.counters);

@@ -61,8 +61,8 @@ pub struct RankClient {
     port: StoragePort,
     rank: Rank,
     coordinator: EntityId,
-    /// Rank index → rank entity (for shuffle sends).
-    rank_entities: Vec<EntityId>,
+    /// Entity of rank 0; rank `r` is `first_rank + r` (shuffle sends).
+    first_rank: EntityId,
     actions: Vec<Action>,
     pc: usize,
     waiting: Waiting,
@@ -98,12 +98,14 @@ pub struct RankClient {
 }
 
 impl RankClient {
-    /// A rank entity executing `actions`.
+    /// A rank entity executing `actions`. The job's ranks are the
+    /// contiguous entity range that starts at `first_rank` (rank 0), so a
+    /// shuffle send to rank `r` goes to entity `first_rank + r`.
     pub fn new(
         port: StoragePort,
         rank: Rank,
         coordinator: EntityId,
-        rank_entities: Vec<EntityId>,
+        first_rank: EntityId,
         actions: Vec<Action>,
         capture: CaptureConfig,
     ) -> Self {
@@ -111,7 +113,7 @@ impl RankClient {
             port,
             rank,
             coordinator,
-            rank_entities,
+            first_rank,
             actions,
             pc: 0,
             waiting: Waiting::None,
@@ -300,7 +302,7 @@ impl RankClient {
                     bytes,
                     tag,
                 } => {
-                    let dst = self.rank_entities[to_rank as usize];
+                    let dst = EntityId(self.first_rank.0 + to_rank);
                     let (hop, msg) = self.port.app(dst, tag, bytes);
                     self.counters.shuffle_bytes_sent += bytes;
                     ctx.send(hop, ctx.lookahead(), msg);

@@ -387,9 +387,9 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
 /// `args`), and a window-boundary track from worker 0's samples. The
 /// executor stamps samples on the telemetry registry's clock, so the
 /// slices share the spans' time axis. Time after a worker's last
-/// retained sample (windows past the sample cap, and the final partial
-/// window) is drawn as one trailing slice per phase, so each worker's
-/// slices sum to its phase totals exactly.
+/// retained sample (windows past the sample cap) is drawn as one
+/// trailing slice per phase, so each worker's slices sum to its phase
+/// totals exactly.
 pub fn append_profile_tracks(w: &mut TraceWriter, p: &ExecProfile) {
     const PID: u32 = 2;
     w.process_name(PID, "des-workers");

@@ -239,11 +239,6 @@ impl RawClient {
         &self.port
     }
 
-    /// Total bytes moved by completed data operations.
-    pub fn bytes_done(&self) -> u64 {
-        self.records.iter().map(|r| r.op.transfer_bytes()).sum()
-    }
-
     fn issue_next(&mut self, ctx: &mut Ctx<'_, PfsMsg>) {
         while self.pc < self.program.len() {
             let op = self.program[self.pc].clone();

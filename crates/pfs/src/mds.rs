@@ -9,7 +9,7 @@
 
 use crate::config::{LayoutPolicy, MdsConfig};
 use crate::msg::{route, MetaReply, PfsMsg, HEADER_BYTES};
-use crate::stats::{OstTimeline, ServerStats};
+use crate::stats::ServerStats;
 use crate::striping::Layout;
 use pioeval_des::{Ctx, Entity, Envelope};
 use pioeval_types::{FileId, IoKind, MetaOp, ReqMark, ServerKind, SimDuration, SimTime};
@@ -55,8 +55,6 @@ pub struct MetadataServer {
     pub stats: ServerStats,
     /// Metadata event stream (FSMonitor-style), in completion order.
     pub events: Vec<MetaEvent>,
-    /// Whether to retain the event stream (large runs may disable it).
-    pub record_events: bool,
 }
 
 impl MetadataServer {
@@ -77,23 +75,12 @@ impl MetadataServer {
             op_counts: [0; 8],
             stats: ServerStats::new(1, stats_bin),
             events: Vec::new(),
-            record_events: true,
         }
     }
 
     /// Number of files currently in the namespace.
     pub fn num_files(&self) -> usize {
         self.namespace.len()
-    }
-
-    /// Look up a file's metadata (post-run inspection).
-    pub fn file_meta(&self, file: FileId) -> Option<&FileMeta> {
-        self.namespace.get(&file)
-    }
-
-    /// The timeline of operation counts (one unit per op, write lane).
-    pub fn op_timeline(&self) -> &OstTimeline {
-        &self.stats.timelines[0]
     }
 
     fn allocate_layout(&mut self) -> Layout {
@@ -184,13 +171,11 @@ impl Entity<PfsMsg> for MetadataServer {
         self.stats.queue_wait += queue_delay;
         self.stats.busy += cost;
         self.stats.timelines[0].record(completion, IoKind::Write, 1);
-        if self.record_events {
-            self.events.push(MetaEvent {
-                time: completion,
-                op: req.op,
-                file: req.file,
-            });
-        }
+        self.events.push(MetaEvent {
+            time: completion,
+            op: req.op,
+            file: req.file,
+        });
 
         ctx.trace(
             req.tid,

@@ -120,14 +120,6 @@ fn sym_name(s: u32, terminals: u32) -> String {
     }
 }
 
-/// Convenience: generate benchmarks for all ranks of a traced job.
-pub fn generate_all(per_rank_records: &[Vec<LayerRecord>]) -> Vec<GeneratedBenchmark> {
-    per_rank_records
-        .iter()
-        .map(|r| generate_benchmark(r))
-        .collect()
-}
-
 /// A quick self-check used in tests and experiments: the generated
 /// program must replay to the same op list a plain replay would produce.
 pub fn reproduces_trace(records: &[LayerRecord], bench: &GeneratedBenchmark) -> bool {

@@ -257,12 +257,6 @@ impl JobProfile {
         h
     }
 
-    /// Approximate in-memory/serialized footprint: the number of counter
-    /// records (used by the tracing-vs-profiling volume experiment).
-    pub fn footprint_records(&self) -> usize {
-        self.records.len()
-    }
-
     /// Merge another profile into this one (cross-rank aggregation: each
     /// rank maintains its own streaming profile; the job-level view is
     /// the merge, exactly like Darshan's reduction step).

@@ -168,14 +168,6 @@ impl IoOp {
         IoOp::Compute { duration }
     }
 
-    /// Bytes moved by this operation (zero for non-data ops).
-    pub fn transfer_bytes(&self) -> u64 {
-        match self {
-            IoOp::Data { size, .. } => *size,
-            _ => 0,
-        }
-    }
-
     /// Bytes read (zero unless this is a data read).
     pub fn read_bytes(&self) -> u64 {
         match self {
@@ -265,7 +257,7 @@ mod tests {
         assert_eq!(r.read_bytes(), 100);
         assert_eq!(r.write_bytes(), 0);
         assert_eq!(w.write_bytes(), 50);
-        assert_eq!(m.transfer_bytes(), 0);
+        assert_eq!(m.read_bytes() + m.write_bytes(), 0);
         assert!(m.is_meta() && !m.is_data());
     }
 

@@ -99,6 +99,8 @@ pub struct WindowSample {
     /// a worker's first window starts when its recorder was built.
     pub start_ns: u64,
     /// Wall-clock nanoseconds per phase, indexed by [`ProfPhase::index`].
+    /// A worker's last window also holds time marked after its commit
+    /// ([`PhaseRecorder::finish`]).
     pub phase_ns: [u64; PROF_PHASES],
     /// Events this worker processed in the window (0 = null window).
     pub events: u64,
@@ -125,7 +127,8 @@ pub struct WorkerProfile {
     /// Whole-run wall-clock nanoseconds per phase.
     pub phase_ns: [u64; PROF_PHASES],
     /// Per-window samples, in window order (capped; see
-    /// [`WorkerProfile::dropped_samples`]).
+    /// [`WorkerProfile::dropped_samples`]). With no drops they tile
+    /// `phase_ns` exactly.
     pub samples: Vec<WindowSample>,
     /// Windows whose samples were dropped by the retention cap. Phase
     /// totals above still include them.
@@ -420,7 +423,19 @@ impl PhaseRecorder {
     /// Finish recording: stamp final bookkeeping and return the merged
     /// per-worker profile. `entities`/`events` are the run totals the
     /// executor already tracks.
+    ///
+    /// Time marked after the last committed window (the threaded
+    /// backend's final mailbox drain before its termination check) is
+    /// folded into the last sample when that sample is the last window,
+    /// so with no dropped samples the samples tile the phase totals.
     pub fn finish(mut self, entities: u64, events: u64) -> WorkerProfile {
+        if self.profile.dropped_samples == 0 {
+            if let Some(last) = self.profile.samples.last_mut() {
+                for (s, open) in last.phase_ns.iter_mut().zip(self.cur_phase_ns) {
+                    *s += open;
+                }
+            }
+        }
         self.profile.entities = entities;
         self.profile.events = events;
         self.profile
@@ -456,6 +471,9 @@ mod tests {
             });
             rec.end_window(w % 5, if w % 7 == 0 { NO_LIMITER } else { 1 });
         }
+        // A segment marked after the last window (a termination probe).
+        std::thread::yield_now();
+        rec.mark(ProfPhase::MailboxDrain);
         let prof = rec.finish(8, 200);
         assert_eq!(prof.worker, 3);
         assert_eq!(prof.entities, 8);
@@ -465,14 +483,12 @@ mod tests {
         assert!(prof.conserves(), "phase sum must equal span exactly");
         assert_eq!(prof.samples.len(), 100);
         assert_eq!(prof.dropped_samples, 0);
-        // Per-window samples tile the span too: each segment was
-        // attributed to exactly one window's accumulator.
-        let sampled: u64 = prof
-            .samples
-            .iter()
-            .map(|s| s.phase_ns.iter().sum::<u64>())
-            .sum();
-        assert!(sampled <= prof.span_ns);
+        // Per-window samples tile every phase total too: each segment,
+        // the trailing one included, went to exactly one window.
+        for p in ProfPhase::ALL {
+            let sampled: u64 = prof.samples.iter().map(|s| s.phase_ns[p.index()]).sum();
+            assert_eq!(sampled, prof.phase_ns[p.index()], "{}", p.name());
+        }
     }
 
     #[test]
