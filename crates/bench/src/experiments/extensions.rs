@@ -3,7 +3,7 @@
 
 use super::{base_cluster, run};
 use crate::{ExpOutput, Scale};
-use pioeval_core::{Campaign, Submission, Table, WorkloadSource};
+use pioeval_core::{Campaign, Submission, Table, TargetConfig, WorkloadSource};
 use pioeval_iostack::{MpiConfig, StackConfig};
 use pioeval_monitor::{classify_jobs, find_stragglers};
 use pioeval_pfs::{ClusterConfig, DeviceConfig, LayoutPolicy};
@@ -287,7 +287,7 @@ pub fn x4(scale: Scale) -> ExpOutput {
 /// Sec. VI's call for characterizing emerging workloads).
 pub fn x5(scale: Scale) -> ExpOutput {
     let nranks = scale.pick(4u32, 2);
-    let mut campaign = Campaign::new(base_cluster(), 9);
+    let mut campaign = Campaign::new(TargetConfig::Pfs(base_cluster()), 9);
     // Two of each behaviour class, interleaved in submission order.
     type WorkloadFactory = Box<dyn Fn(u32) -> Box<dyn Workload>>;
     let mk: Vec<(&str, WorkloadFactory)> = vec![

@@ -11,12 +11,11 @@
 use crate::pipeline::TargetConfig;
 use crate::source::WorkloadSource;
 use pioeval_iostack::{
-    collect, collect_on, launch, launch_on, JobHandle, JobResult, JobSpec, StackConfig,
-    StorageTarget,
+    collect_on, launch_on, JobHandle, JobResult, JobSpec, StackConfig, StorageTarget,
 };
 use pioeval_monitor::{JobLog, SchedulerLog, SystemAnalysis};
 use pioeval_objstore::GatewayStats;
-use pioeval_pfs::{Cluster, ClusterConfig, ServerStats};
+use pioeval_pfs::ServerStats;
 use pioeval_trace::JobProfile;
 use pioeval_types::{Error, JobId, Result, SimDuration, SimTime};
 
@@ -52,11 +51,13 @@ pub struct CampaignResult {
     pub profiles: Vec<JobProfile>,
     /// The workload-manager log.
     pub scheduler: SchedulerLog,
-    /// Per-OSS server statistics over the whole campaign.
+    /// Per-storage-server statistics over the whole campaign (OSSes, or
+    /// object storage nodes).
     pub servers: Vec<ServerStats>,
     /// System-level analysis over the whole campaign window.
     pub analysis: SystemAnalysis,
-    /// Total metadata operations served.
+    /// Total metadata operations served (MDS, or object metadata
+    /// shards).
     pub mds_ops: u64,
 }
 
@@ -92,97 +93,6 @@ pub fn poisson_starts(
             SimTime::from_nanos((t * 1e9) as u64)
         })
         .collect()
-}
-
-/// A set of jobs to run against one cluster.
-pub struct Campaign {
-    cluster: ClusterConfig,
-    submissions: Vec<Submission>,
-    seed: u64,
-}
-
-impl Campaign {
-    /// A new campaign on the given cluster configuration.
-    pub fn new(cluster: ClusterConfig, seed: u64) -> Self {
-        Campaign {
-            cluster,
-            submissions: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Add a job.
-    pub fn submit(&mut self, submission: Submission) -> &mut Self {
-        self.submissions.push(submission);
-        self
-    }
-
-    /// Number of submitted jobs.
-    pub fn len(&self) -> usize {
-        self.submissions.len()
-    }
-
-    /// True when no jobs were submitted.
-    pub fn is_empty(&self) -> bool {
-        self.submissions.is_empty()
-    }
-
-    /// Launch everything, run to completion, and collect the campaign's
-    /// data products.
-    pub fn run(&self) -> Result<CampaignResult> {
-        let mut cluster = Cluster::new(self.cluster.clone())?;
-        let mut handles: Vec<JobHandle> = Vec::new();
-        for (i, sub) in self.submissions.iter().enumerate() {
-            let programs = sub
-                .source
-                .programs(sub.nranks, pioeval_types::split_seed(self.seed, i as u64));
-            let spec = JobSpec {
-                programs,
-                stack: sub.stack,
-                start: sub.start,
-            };
-            handles.push(launch(&mut cluster, &spec));
-        }
-        cluster.run();
-
-        let mut jobs = Vec::new();
-        let mut profiles = Vec::new();
-        let mut scheduler = SchedulerLog::default();
-        for (i, handle) in handles.iter().enumerate() {
-            let job = collect(&cluster, handle);
-            let end = job
-                .finished
-                .iter()
-                .filter_map(|f| *f)
-                .max()
-                .unwrap_or(handle.start);
-            scheduler.push(JobLog {
-                job: JobId::new(i as u32),
-                nodes: self.submissions[i].nranks,
-                ranks: self.submissions[i].nranks,
-                submit: handle.start,
-                start: handle.start,
-                end,
-            });
-            profiles.push(job.merged_profile());
-            jobs.push(job);
-        }
-        let servers = cluster.oss_stats();
-        let timelines: Vec<_> = servers
-            .iter()
-            .flat_map(|s| s.timelines.iter().cloned())
-            .collect();
-        let analysis = SystemAnalysis::from_timelines(&timelines);
-        let mds_ops = cluster.mds_requests();
-        Ok(CampaignResult {
-            jobs,
-            profiles,
-            scheduler,
-            servers,
-            analysis,
-            mds_ops,
-        })
-    }
 }
 
 /// Per-job interference of a shared run against solo baselines.
@@ -232,19 +142,23 @@ impl InterferenceReport {
     }
 }
 
-/// K concurrent jobs against shared gateways/servers, with per-job
-/// solo baselines: runs each submission alone on a fresh system first,
-/// then all together, and reports per-job slowdown.
-pub struct InterferenceCampaign {
+/// A set of jobs to run against one shared storage target, on either
+/// backend.
+///
+/// [`Campaign::run`] runs every job together (staggered starts honored)
+/// and collects the campaign's data products; [`Campaign::interference`]
+/// also runs each job alone on a fresh, healthy target and reports
+/// per-job slowdown.
+pub struct Campaign {
     target: TargetConfig,
     submissions: Vec<Submission>,
     seed: u64,
 }
 
-impl InterferenceCampaign {
-    /// A new interference campaign against the given backend.
+impl Campaign {
+    /// A new campaign against the given storage target.
     pub fn new(target: TargetConfig, seed: u64) -> Self {
-        InterferenceCampaign {
+        Campaign {
             target,
             submissions: Vec::new(),
             seed,
@@ -267,6 +181,85 @@ impl InterferenceCampaign {
         self.submissions.is_empty()
     }
 
+    /// Build a fresh target from `cfg`, launch each `(submission index,
+    /// start)` job onto it, and run it to completion.
+    fn launch_and_run(
+        &self,
+        cfg: &TargetConfig,
+        jobs: impl IntoIterator<Item = (usize, SimTime)>,
+    ) -> Result<(StorageTarget, Vec<JobHandle>)> {
+        let mut target = cfg.build()?;
+        let handles = jobs
+            .into_iter()
+            .map(|(i, start)| {
+                let sub = &self.submissions[i];
+                let spec = JobSpec {
+                    programs: sub
+                        .source
+                        .programs(sub.nranks, pioeval_types::split_seed(self.seed, i as u64)),
+                    stack: sub.stack,
+                    start,
+                };
+                launch_on(&mut target, &spec)
+            })
+            .collect();
+        target.run();
+        Ok((target, handles))
+    }
+
+    /// Every submission at its own start time on one target.
+    fn run_shared(&self) -> Result<(StorageTarget, Vec<JobHandle>)> {
+        self.launch_and_run(
+            &self.target,
+            self.submissions.iter().map(|s| s.start).enumerate(),
+        )
+    }
+
+    /// Launch everything, run to completion, and collect the campaign's
+    /// data products.
+    pub fn run(&self) -> Result<CampaignResult> {
+        let (mut target, handles) = self.run_shared()?;
+        let mut jobs = Vec::new();
+        let mut profiles = Vec::new();
+        let mut scheduler = SchedulerLog::default();
+        for (i, handle) in handles.iter().enumerate() {
+            let job = collect_on(&target, handle);
+            let end = job
+                .finished
+                .iter()
+                .filter_map(|f| *f)
+                .max()
+                .unwrap_or(handle.start);
+            scheduler.push(JobLog {
+                job: JobId::new(i as u32),
+                nodes: self.submissions[i].nranks,
+                ranks: self.submissions[i].nranks,
+                submit: handle.start,
+                start: handle.start,
+                end,
+            });
+            profiles.push(job.merged_profile());
+            jobs.push(job);
+        }
+        let (servers, mds_ops) = match &mut target {
+            StorageTarget::Pfs(c) => (c.oss_stats(), c.mds_requests()),
+            StorageTarget::ObjStore(c) => (c.storage_stats(), c.shard_requests()),
+        };
+        let timelines: Vec<_> = servers
+            .iter()
+            .flat_map(|s| s.timelines.iter().cloned())
+            .collect();
+        let analysis = SystemAnalysis::from_timelines(&timelines);
+        Ok(CampaignResult {
+            jobs,
+            profiles,
+            scheduler,
+            servers,
+            analysis,
+            mds_ops,
+        })
+    }
+
     /// The target configuration with failure injection stripped: solo
     /// baselines measure each job on a *healthy* system, so the shared
     /// run's slowdown captures failures as interference.
@@ -282,19 +275,10 @@ impl InterferenceCampaign {
         cfg
     }
 
-    fn spec_for(&self, i: usize, start: SimTime) -> JobSpec {
-        let sub = &self.submissions[i];
-        JobSpec {
-            programs: sub
-                .source
-                .programs(sub.nranks, pioeval_types::split_seed(self.seed, i as u64)),
-            stack: sub.stack,
-            start,
-        }
-    }
-
-    /// Run the solo baselines, then the shared run.
-    pub fn run(&self) -> Result<InterferenceReport> {
+    /// Run each job alone on a fresh, healthy target (submitted at time
+    /// zero), then all together, and report per-job slowdown. Needs at
+    /// least two jobs.
+    pub fn interference(&self) -> Result<InterferenceReport> {
         if self.submissions.len() < 2 {
             return Err(Error::Config(
                 "interference campaign needs at least 2 jobs".into(),
@@ -305,34 +289,21 @@ impl InterferenceCampaign {
                 .ok_or_else(|| Error::Config("campaign job did not finish".into()))
         };
 
-        // Solo baselines: one fresh, failure-free system per job,
-        // submitted at t=0.
         let healthy = self.healthy_target();
         let mut solo = Vec::new();
         for i in 0..self.submissions.len() {
             pioeval_obs::live::set_phase(&format!("campaign:solo:{i}"));
-            let mut target = healthy.build()?;
-            let spec = self.spec_for(i, SimTime::ZERO);
-            let handle = launch_on(&mut target, &spec);
-            target.run();
-            solo.push(makespan(&collect_on(&target, &handle))?);
+            let (target, handles) = self.launch_and_run(&healthy, [(i, SimTime::ZERO)])?;
+            solo.push(makespan(&collect_on(&target, &handles[0]))?);
         }
 
-        // Shared run: everything on one system, staggered as submitted.
         pioeval_obs::live::set_phase("campaign:shared");
-        let mut target = self.target.build()?;
-        let handles: Vec<JobHandle> = (0..self.submissions.len())
-            .map(|i| {
-                let spec = self.spec_for(i, self.submissions[i].start);
-                launch_on(&mut target, &spec)
-            })
-            .collect();
-        target.run();
+        let (target, handles) = self.run_shared()?;
         let shared = handles
             .iter()
             .map(|h| makespan(&collect_on(&target, h)))
             .collect::<Result<Vec<_>>>()?;
-        let gateways = match &mut target {
+        let gateways = match &target {
             StorageTarget::ObjStore(c) => c.gateway_stats(),
             StorageTarget::Pfs(_) => Vec::new(),
         };
@@ -350,14 +321,16 @@ impl InterferenceCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pioeval_objstore::ObjStoreConfig;
+    use pioeval_pfs::ClusterConfig;
     use pioeval_types::{bytes, SimDuration};
     use pioeval_workloads::{CheckpointLike, DlioLike, IorLike};
 
-    fn cluster() -> ClusterConfig {
-        ClusterConfig {
+    fn cluster() -> TargetConfig {
+        TargetConfig::Pfs(ClusterConfig {
             num_clients: 32,
             ..ClusterConfig::default()
-        }
+        })
     }
 
     #[test]
@@ -420,6 +393,39 @@ mod tests {
     }
 
     #[test]
+    fn object_store_campaign_collects_storage_nodes_and_shards() {
+        let target = TargetConfig::ObjStore(ObjStoreConfig {
+            num_clients: 16,
+            ..ObjStoreConfig::default()
+        });
+        let mut campaign = Campaign::new(target, 8);
+        for i in 0..2u32 {
+            campaign.submit(Submission::new(
+                WorkloadSource::Synthetic(Box::new(IorLike {
+                    block_size: bytes::mib(2),
+                    base_file: 700 + i * 500,
+                    ..IorLike::default()
+                })),
+                2,
+                SimTime::from_millis(i as u64 * 20),
+            ));
+        }
+        let result = campaign.run().unwrap();
+        assert_eq!(result.jobs.len(), 2);
+        assert!(result.jobs.iter().all(|j| j.makespan().is_some()));
+        assert_eq!(result.scheduler.jobs[1].start, SimTime::from_millis(20));
+        // Server statistics come from the object storage nodes, metadata
+        // operations from the shards.
+        assert_eq!(result.servers.len(), ObjStoreConfig::default().num_storage);
+        let written: u64 = result.servers.iter().map(|s| s.bytes_written).sum();
+        let posix: u64 = result.jobs.iter().map(|j| j.bytes_written()).sum();
+        assert_eq!(posix, 2 * 2 * bytes::mib(2));
+        // The default placement stores two replicas of every object.
+        assert_eq!(written, 2 * posix);
+        assert!(result.mds_ops > 0);
+    }
+
+    #[test]
     fn poisson_starts_are_monotone_and_scale_with_mean() {
         let fast = poisson_starts(50, SimDuration::from_millis(10), 1);
         let slow = poisson_starts(50, SimDuration::from_millis(100), 1);
@@ -445,13 +451,12 @@ mod tests {
 
     #[test]
     fn two_jobs_on_shared_gateways_slow_each_other_down() {
-        use pioeval_objstore::ObjStoreConfig;
         let target = TargetConfig::ObjStore(ObjStoreConfig {
             num_clients: 16,
             num_gateways: 1,
             ..ObjStoreConfig::default()
         });
-        let mut campaign = InterferenceCampaign::new(target, 3);
+        let mut campaign = Campaign::new(target, 3);
         campaign.submit(Submission::new(
             WorkloadSource::Synthetic(Box::new(IorLike {
                 block_size: bytes::mib(8),
@@ -472,7 +477,7 @@ mod tests {
             4,
             SimTime::ZERO,
         ));
-        let report = campaign.run().unwrap();
+        let report = campaign.interference().unwrap();
         assert_eq!(report.target, "objstore");
         assert_eq!(report.solo.len(), 2);
         assert_eq!(report.shared.len(), 2);
@@ -493,8 +498,7 @@ mod tests {
 
     #[test]
     fn interference_works_on_the_pfs_path_too() {
-        let target = TargetConfig::Pfs(cluster());
-        let mut campaign = InterferenceCampaign::new(target, 4);
+        let mut campaign = Campaign::new(cluster(), 4);
         for i in 0..2u32 {
             campaign.submit(Submission::new(
                 WorkloadSource::Synthetic(Box::new(IorLike {
@@ -506,7 +510,7 @@ mod tests {
                 SimTime::ZERO,
             ));
         }
-        let report = campaign.run().unwrap();
+        let report = campaign.interference().unwrap();
         assert_eq!(report.target, "pfs");
         assert!(report.gateways.is_empty());
         assert!(report.slowdowns().iter().all(|&s| s >= 1.0 - 1e-9));
@@ -532,7 +536,7 @@ mod tests {
             }),
             ..ClusterConfig::default()
         });
-        let mut campaign = InterferenceCampaign::new(target, 11);
+        let mut campaign = Campaign::new(target, 11);
         for i in 0..2u32 {
             campaign.submit(Submission::new(
                 WorkloadSource::Synthetic(Box::new(IorLike {
@@ -544,7 +548,7 @@ mod tests {
                 SimTime::ZERO,
             ));
         }
-        let report = campaign.run().unwrap();
+        let report = campaign.interference().unwrap();
         // The shared run keeps the injected failure; solo baselines ran
         // on a healthy system (stripped schedule) yet still complete.
         let resil = report.resilience.expect("shared run must carry resilience");
@@ -556,15 +560,15 @@ mod tests {
 
     #[test]
     fn interference_requires_two_jobs() {
-        let mut campaign = InterferenceCampaign::new(TargetConfig::Pfs(cluster()), 0);
+        let mut campaign = Campaign::new(cluster(), 0);
         assert!(campaign.is_empty());
-        assert!(campaign.run().is_err());
+        assert!(campaign.interference().is_err());
         campaign.submit(Submission::new(
             WorkloadSource::Synthetic(Box::new(IorLike::default())),
             2,
             SimTime::ZERO,
         ));
         assert_eq!(campaign.len(), 1);
-        assert!(campaign.run().is_err());
+        assert!(campaign.interference().is_err());
     }
 }

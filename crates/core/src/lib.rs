@@ -29,12 +29,9 @@ pub mod report;
 pub mod source;
 pub mod taxonomy;
 
-pub use campaign::{
-    poisson_starts, Campaign, CampaignResult, InterferenceCampaign, InterferenceReport, Submission,
-};
+pub use campaign::{poisson_starts, Campaign, CampaignResult, InterferenceReport, Submission};
 pub use pipeline::{
-    measure, measure_target, measure_target_instrumented, measure_target_traced,
-    measure_target_with_exec, measure_with_exec, EvaluationLoop, LoopIteration, MeasurementReport,
+    measure, measure_target_instrumented, EvaluationLoop, LoopIteration, MeasurementReport,
     TargetConfig,
 };
 pub use report::{bar_chart, sparkline, Table};

@@ -73,7 +73,7 @@ pub struct MeasurementReport {
     /// Per-gateway statistics (empty on the PFS path).
     pub gateways: Vec<GatewayStats>,
     /// Assembled per-request trace (Some only when the measurement ran
-    /// with request tracing enabled; see [`measure_target_traced`]).
+    /// with request tracing enabled; see [`measure_target_instrumented`]).
     pub requests: Option<pioeval_reqtrace::Assembly>,
     /// Resilience metrics (Some only when the target carried a
     /// resilience configuration: write-ack policy, failure injection).
@@ -91,9 +91,10 @@ impl MeasurementReport {
     }
 }
 
-/// Run one workload source on a fresh cluster and collect all data
-/// products, using the sequential executor. See [`measure_with_exec`]
-/// for choosing the parallel engine.
+/// Run one workload source on a fresh PFS cluster and collect all data
+/// products, using the sequential executor. See
+/// [`measure_target_instrumented`] for the object store, the parallel
+/// engine, request tracing and execution profiling.
 pub fn measure(
     cluster_cfg: &ClusterConfig,
     source: &WorkloadSource,
@@ -101,71 +102,24 @@ pub fn measure(
     stack: StackConfig,
     seed: u64,
 ) -> Result<MeasurementReport> {
-    measure_with_exec(
-        cluster_cfg,
-        source,
-        nranks,
-        stack,
-        seed,
-        &ExecMode::Sequential,
-    )
-}
-
-/// [`measure`] with an explicit executor choice. The DES engine is
-/// deterministic across executors, so every data product is identical
-/// whichever mode runs — only wall-clock time differs.
-pub fn measure_with_exec(
-    cluster_cfg: &ClusterConfig,
-    source: &WorkloadSource,
-    nranks: u32,
-    stack: StackConfig,
-    seed: u64,
-    exec: &ExecMode,
-) -> Result<MeasurementReport> {
-    measure_target_with_exec(
+    measure_target_instrumented(
         &TargetConfig::Pfs(cluster_cfg.clone()),
         source,
         nranks,
         stack,
         seed,
-        exec,
-    )
-}
-
-/// [`measure`] against either storage backend, sequential executor.
-pub fn measure_target(
-    target_cfg: &TargetConfig,
-    source: &WorkloadSource,
-    nranks: u32,
-    stack: StackConfig,
-    seed: u64,
-) -> Result<MeasurementReport> {
-    measure_target_with_exec(
-        target_cfg,
-        source,
-        nranks,
-        stack,
-        seed,
         &ExecMode::Sequential,
+        false,
+        false,
     )
 }
 
 /// The measurement trip, generic over the storage backend: the same
 /// lowered rank programs run against a PFS or an object store, and the
 /// report's server/metadata fields are filled from whichever tier the
-/// target has (OSS/MDS, or storage-node/shard plus gateway stats).
-pub fn measure_target_with_exec(
-    target_cfg: &TargetConfig,
-    source: &WorkloadSource,
-    nranks: u32,
-    stack: StackConfig,
-    seed: u64,
-    exec: &ExecMode,
-) -> Result<MeasurementReport> {
-    measure_target_traced(target_cfg, source, nranks, stack, seed, exec, false)
-}
-
-/// [`measure_target_with_exec`] with optional per-request tracing.
+/// target has (OSS/MDS, or storage-node/shard plus gateway stats). The
+/// DES engine is deterministic across executors, so every data product
+/// is identical whichever `exec` runs; only wall-clock time differs.
 ///
 /// With `request_trace` on, every client RPC (each carries a trace id)
 /// is followed through fabrics, servers, and device queues in
@@ -173,32 +127,10 @@ pub fn measure_target_with_exec(
 /// [`MeasurementReport::requests`]. Recording is per-entity and
 /// contention-free, and the drained trace is deterministic across DES
 /// executors.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_target_traced(
-    target_cfg: &TargetConfig,
-    source: &WorkloadSource,
-    nranks: u32,
-    stack: StackConfig,
-    seed: u64,
-    exec: &ExecMode,
-    request_trace: bool,
-) -> Result<MeasurementReport> {
-    measure_target_instrumented(
-        target_cfg,
-        source,
-        nranks,
-        stack,
-        seed,
-        exec,
-        request_trace,
-        false,
-    )
-}
-
-/// [`measure_target_traced`] with the parallel executor's scaling
-/// observatory: with `profile` on (and a parallel `exec`), the DES
-/// workers record per-window phase timelines — compute, mailbox-drain,
-/// barrier-wait, horizon-stall — which land merged in
+///
+/// With `profile` on (and a parallel `exec`), the DES workers record
+/// per-window phase timelines — compute, mailbox-drain, barrier-wait,
+/// horizon-stall — which land merged in
 /// [`MeasurementReport::exec_profile`]. Like request tracing, recording
 /// is per-worker and lock-free; a sequential run yields `None`.
 #[allow(clippy::too_many_arguments)]
@@ -427,16 +359,20 @@ mod tests {
         ];
         for target in targets {
             let source = WorkloadSource::Synthetic(Box::new(small_ior()));
-            let report = measure_target_traced(
-                &target,
-                &source,
-                4,
-                StackConfig::default(),
-                1,
-                &ExecMode::Sequential,
-                true,
-            )
-            .unwrap();
+            let run = |request_trace| {
+                measure_target_instrumented(
+                    &target,
+                    &source,
+                    4,
+                    StackConfig::default(),
+                    1,
+                    &ExecMode::Sequential,
+                    request_trace,
+                    false,
+                )
+                .unwrap()
+            };
+            let report = run(true);
             let asm = report.requests.as_ref().unwrap();
             assert!(!asm.requests.is_empty(), "{} traced nothing", target.name());
             for r in &asm.requests {
@@ -449,8 +385,7 @@ mod tests {
                 );
             }
             // Untraced runs carry no request assembly.
-            let plain = measure_target(&target, &source, 4, StackConfig::default(), 1).unwrap();
-            assert!(plain.requests.is_none());
+            assert!(run(false).requests.is_none());
         }
     }
 
@@ -499,7 +434,17 @@ mod tests {
                 backend,
                 ..ParallelConfig::default()
             });
-            let par = measure_with_exec(&small_cluster(), &source, 4, stack(), 1, &exec).unwrap();
+            let par = measure_target_instrumented(
+                &TargetConfig::Pfs(small_cluster()),
+                &source,
+                4,
+                stack(),
+                1,
+                &exec,
+                false,
+                false,
+            )
+            .unwrap();
             assert_eq!(par.makespan(), seq.makespan(), "{backend:?}");
             assert_eq!(par.profile.bytes_written(), seq.profile.bytes_written());
             assert_eq!(par.profile.bytes_read(), seq.profile.bytes_read());

@@ -576,4 +576,157 @@ mod tests {
         ));
         assert!(slow > fast, "tracing {slow} should exceed profiling {fast}");
     }
+
+    /// A one-file program: create `file`, write `write_mb` MB at offset
+    /// 0, close it.
+    fn create_write_close(file: u32, write_mb: u64) -> Vec<StackOp> {
+        let f = FileId::new(file);
+        vec![
+            StackOp::PosixMeta {
+                op: MetaOp::Create,
+                file: f,
+            },
+            StackOp::PosixData {
+                kind: IoKind::Write,
+                file: f,
+                offset: 0,
+                len: write_mb * 1_000_000,
+            },
+            StackOp::PosixMeta {
+                op: MetaOp::Close,
+                file: f,
+            },
+        ]
+    }
+
+    /// Launch one rank per program at time zero, run, and collect.
+    fn run_programs(c: &mut Cluster, programs: Vec<Vec<StackOp>>) -> JobResult {
+        let spec = JobSpec {
+            programs,
+            stack: StackConfig::default(),
+            start: SimTime::ZERO,
+        };
+        let handle = launch(c, &spec);
+        c.run();
+        collect(c, &handle)
+    }
+
+    /// Rank `rank`'s POSIX-level records.
+    fn posix_records(result: &JobResult, rank: usize) -> Vec<LayerRecord> {
+        result.records[rank]
+            .iter()
+            .filter(|r| r.layer == Layer::Posix)
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn end_to_end_write_completes() {
+        let mut c = Cluster::new(ClusterConfig::default()).unwrap();
+        let result = run_programs(&mut c, vec![create_write_close(1, 16)]);
+        let finished = result.finished[0].expect("rank never finished");
+        assert!(finished > SimTime::ZERO);
+        let records = posix_records(&result, 0);
+        assert_eq!(records.len(), 3);
+        // The write moved 16 MB through two fabrics onto HDDs; the
+        // end-to-end time must exceed the raw 10GbE serialization floor
+        // (~12.8 ms) and the per-OST device time.
+        let write = &records[1];
+        assert_eq!(write.op, RecordOp::Data(IoKind::Write));
+        assert!(write.elapsed() > SimDuration::from_millis(10));
+        let total_written: u64 = c.oss_stats().iter().map(|s| s.bytes_written).sum();
+        assert_eq!(total_written, 16_000_000);
+    }
+
+    #[test]
+    fn striping_distributes_across_oss() {
+        let mut c = Cluster::new(ClusterConfig {
+            layout: pioeval_pfs::LayoutPolicy {
+                stripe_size: bytes::mib(1),
+                stripe_count: 8,
+            },
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let result = run_programs(&mut c, vec![create_write_close(1, 32)]);
+        assert!(result.finished[0].is_some());
+        // All 4 OSS (8 OSTs) should have received data.
+        assert!(c.oss_stats().iter().all(|s| s.bytes_written > 0));
+    }
+
+    #[test]
+    fn burst_buffer_tier_accelerates_app_visible_writes() {
+        let write_time = |cfg: ClusterConfig| {
+            let mut c = Cluster::new(cfg).unwrap();
+            let result = run_programs(&mut c, vec![create_write_close(1, 64)]);
+            assert!(result.finished[0].is_some());
+            posix_records(&result, 0)[1].elapsed()
+        };
+        let direct_write = write_time(ClusterConfig::default());
+        let bb_write = write_time(ClusterConfig {
+            num_ionodes: 2,
+            ..ClusterConfig::default()
+        });
+        // The SSD tier absorbs the 64 MB burst much faster than the
+        // HDD-backed direct path.
+        assert!(
+            bb_write.as_nanos() * 2 < direct_write.as_nanos(),
+            "burst buffer write {bb_write} not faster than direct {direct_write}"
+        );
+    }
+
+    #[test]
+    fn mds_sees_expected_op_mix() {
+        let mut c = Cluster::new(ClusterConfig::default()).unwrap();
+        run_programs(&mut c, (0..4).map(|i| create_write_close(i, 1)).collect());
+        let mds = c.mds();
+        assert_eq!(mds.op_counts[MetaOp::Create.index()], 4);
+        assert_eq!(mds.op_counts[MetaOp::Close.index()], 4);
+        assert_eq!(mds.num_files(), 4);
+    }
+
+    #[test]
+    fn multiple_mds_share_the_namespace_load() {
+        let mut c = Cluster::new(ClusterConfig {
+            num_mds: 2,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        // Files 0..8 hash across both MDSs (even ids → mds0, odd → mds1).
+        let program = (0..8)
+            .map(|i| StackOp::PosixMeta {
+                op: MetaOp::Create,
+                file: FileId::new(i),
+            })
+            .collect();
+        run_programs(&mut c, vec![program]);
+        let a = c.mds_at(0).stats.requests;
+        let b = c.mds_at(1).stats.requests;
+        assert_eq!(a + b, 8);
+        assert_eq!(a, 4);
+        assert_eq!(b, 4);
+        assert_eq!(c.mds_requests(), 8);
+        // Namespaces are disjoint.
+        assert_eq!(c.mds_at(0).num_files() + c.mds_at(1).num_files(), 8);
+    }
+
+    #[test]
+    fn clients_contend_on_shared_storage() {
+        // One rank writing 8 MB alone vs. eight ranks doing the same:
+        // the makespan must grow (the first rank is FIFO-protected, but
+        // later arrivals queue behind it at the shared OSTs and fabrics).
+        let makespan = |nranks: u32| {
+            let mut c = Cluster::new(ClusterConfig::default()).unwrap();
+            let programs = (0..nranks).map(|i| create_write_close(i, 8)).collect();
+            run_programs(&mut c, programs)
+                .makespan()
+                .expect("a rank never finished")
+        };
+        let solo = makespan(1);
+        let contended = makespan(8);
+        assert!(
+            contended.as_nanos() > 2 * solo.as_nanos(),
+            "contended makespan {contended} should exceed 2x solo {solo}"
+        );
+    }
 }

@@ -1,22 +1,17 @@
-//! Client-side protocol helper and a raw test client.
+//! Client-side protocol helper.
 //!
 //! [`ClientPort`] encapsulates everything a compute-node entity needs to
 //! speak the PFS protocol: request-id allocation, layout caching, extent →
 //! stripe-chunk → RPC splitting, and routing (directly to the storage
 //! cluster, or through the node's assigned I/O forwarding node when the
-//! burst-buffer tier is configured).
-//!
-//! [`RawClient`] is a minimal client entity that executes a
-//! [`pioeval_types::RankProgram`]-style list
-//! of logical operations one at a time — the workhorse for unit tests and
-//! for experiments that need storage-side behaviour without the full
-//! layered I/O stack of `pioeval-iostack`.
+//! burst-buffer tier is configured). The client entity that uses it is
+//! `pioeval-iostack`'s rank, which runs the layered I/O stack of Fig. 2.
 
 use crate::msg::{route, IoRequest, MetaReply, MetaRequest, PfsMsg, RequestId, HEADER_BYTES};
 use crate::striping::Layout;
-use pioeval_des::{Ctx, Entity, EntityId, Envelope};
-use pioeval_types::{tid_for, Error, FileId, IoKind, IoOp, MetaOp, Result, SimTime};
-use std::collections::{HashMap, HashSet};
+use pioeval_des::EntityId;
+use pioeval_types::{tid_for, Error, FileId, IoKind, MetaOp, Result};
+use std::collections::HashMap;
 
 /// Client-side protocol state for one compute client.
 #[derive(Clone, Debug)]
@@ -186,158 +181,6 @@ impl ClientPort {
         if rep.op == MetaOp::Stat {
             let size = self.sizes.entry(rep.file).or_insert(0);
             *size = (*size).max(rep.size);
-        }
-    }
-}
-
-/// Completion record for one logical operation executed by a client.
-#[derive(Clone, Debug)]
-pub struct OpRecord {
-    /// The operation.
-    pub op: IoOp,
-    /// When the client issued it.
-    pub start: SimTime,
-    /// When its last constituent RPC completed.
-    pub end: SimTime,
-    /// True if any constituent RPC was served by a burst buffer.
-    pub burst_buffer: bool,
-}
-
-/// A minimal client entity: executes a program of logical operations
-/// strictly one at a time (each op waits for the previous to complete).
-pub struct RawClient {
-    port: ClientPort,
-    program: Vec<IoOp>,
-    pc: usize,
-    pending: HashSet<RequestId>,
-    op_start: SimTime,
-    op_hit_bb: bool,
-    /// Per-operation completion records, in program order.
-    pub records: Vec<OpRecord>,
-    /// Set when the program has fully completed.
-    pub finished_at: Option<SimTime>,
-}
-
-impl RawClient {
-    /// A client that will execute `program` when it receives
-    /// [`PfsMsg::Start`].
-    pub fn new(port: ClientPort, program: Vec<IoOp>) -> Self {
-        RawClient {
-            port,
-            program,
-            pc: 0,
-            pending: HashSet::new(),
-            op_start: SimTime::ZERO,
-            op_hit_bb: false,
-            records: Vec::new(),
-            finished_at: None,
-        }
-    }
-
-    /// Read access to the protocol port (layout cache, sizes).
-    pub fn port(&self) -> &ClientPort {
-        &self.port
-    }
-
-    fn issue_next(&mut self, ctx: &mut Ctx<'_, PfsMsg>) {
-        while self.pc < self.program.len() {
-            let op = self.program[self.pc].clone();
-            self.op_start = ctx.now();
-            self.op_hit_bb = false;
-            match op {
-                IoOp::Compute { duration } => {
-                    ctx.send_self(
-                        duration,
-                        PfsMsg::Timer {
-                            token: self.pc as u64,
-                        },
-                    );
-                    return;
-                }
-                IoOp::Barrier => {
-                    // RawClient has no job-wide coordination; barriers are
-                    // a no-op here (the iostack's job runtime implements
-                    // them). Record and continue.
-                    self.records.push(OpRecord {
-                        op,
-                        start: ctx.now(),
-                        end: ctx.now(),
-                        burst_buffer: false,
-                    });
-                    self.pc += 1;
-                    continue;
-                }
-                IoOp::Meta { op: m, file } => {
-                    let (hop, msg, id) = self.port.meta(m, file);
-                    self.pending.insert(id);
-                    ctx.send(hop, ctx.lookahead(), msg);
-                    return;
-                }
-                IoOp::Data {
-                    kind,
-                    file,
-                    offset,
-                    size,
-                } => {
-                    let rpcs = self
-                        .port
-                        .data(kind, file, offset, size)
-                        .expect("RawClient program accessed a file it never opened");
-                    if rpcs.is_empty() {
-                        // Zero-length access completes immediately.
-                        self.records.push(OpRecord {
-                            op,
-                            start: ctx.now(),
-                            end: ctx.now(),
-                            burst_buffer: false,
-                        });
-                        self.pc += 1;
-                        continue;
-                    }
-                    for (hop, msg, id) in rpcs {
-                        self.pending.insert(id);
-                        ctx.send(hop, ctx.lookahead(), msg);
-                    }
-                    return;
-                }
-            }
-        }
-        if self.finished_at.is_none() {
-            self.finished_at = Some(ctx.now());
-        }
-    }
-
-    fn complete_op(&mut self, ctx: &mut Ctx<'_, PfsMsg>) {
-        let op = self.program[self.pc].clone();
-        self.records.push(OpRecord {
-            op,
-            start: self.op_start,
-            end: ctx.now(),
-            burst_buffer: self.op_hit_bb,
-        });
-        self.pc += 1;
-        self.issue_next(ctx);
-    }
-}
-
-impl Entity<PfsMsg> for RawClient {
-    fn on_event(&mut self, ev: Envelope<PfsMsg>, ctx: &mut Ctx<'_, PfsMsg>) {
-        match ev.msg {
-            PfsMsg::Start => self.issue_next(ctx),
-            PfsMsg::Timer { .. } => self.complete_op(ctx),
-            PfsMsg::MetaDone(rep) => {
-                self.port.on_meta_reply(&rep);
-                if self.pending.remove(&rep.id) && self.pending.is_empty() {
-                    self.complete_op(ctx);
-                }
-            }
-            PfsMsg::IoDone(rep) => {
-                self.op_hit_bb |= rep.from_burst_buffer;
-                if self.pending.remove(&rep.id) && self.pending.is_empty() {
-                    self.complete_op(ctx);
-                }
-            }
-            other => panic!("client received unexpected message: {other:?}"),
         }
     }
 }

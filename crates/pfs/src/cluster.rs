@@ -1,6 +1,6 @@
 //! Cluster assembly: builds the full Fig. 1 topology into a simulation.
 
-use crate::client::{ClientPort, OpRecord, RawClient};
+use crate::client::ClientPort;
 use crate::config::{ClusterConfig, FabricConfig};
 use crate::fabric::Fabric;
 use crate::ionode::IoNode;
@@ -10,7 +10,7 @@ use crate::oss::Oss;
 use crate::stats::ServerStats;
 use pioeval_des::{EntityId, ExecMode, RunResult, SimConfig, Simulation};
 use pioeval_resil::{FailureKind, ResilienceReport, ResilienceStats};
-use pioeval_types::{IoOp, Result, SimDuration, SimTime};
+use pioeval_types::{Result, SimDuration, SimTime};
 
 /// Entity ids of the cluster's fixed infrastructure.
 #[derive(Clone, Debug)]
@@ -61,7 +61,9 @@ pub struct Cluster {
     pub sim: Simulation<PfsMsg>,
     /// Infrastructure entity ids.
     pub handles: ClusterHandles,
-    /// Raw clients registered via [`Cluster::add_raw_client`].
+    /// Client entities launched onto the cluster, in launch order; a
+    /// client's index here picks its I/O forwarding node
+    /// ([`ClusterHandles::port`]).
     pub clients: Vec<EntityId>,
     stats_bin: SimDuration,
     /// Failure events scheduled into this run (expanded at build time).
@@ -157,7 +159,6 @@ impl Cluster {
                     Box::new(Fabric::new(FabricConfig {
                         latency: resil.geo.replica_latency(resil.ack_mode),
                         link_bw: resil.geo.link_bw,
-                        agg_bw: 0,
                     })),
                 ));
             }
@@ -217,23 +218,6 @@ impl Cluster {
     /// The statistics bin width servers were built with.
     pub fn stats_bin(&self) -> SimDuration {
         self.stats_bin
-    }
-
-    /// Register a [`RawClient`] that executes `program`, starting at
-    /// `start`. Returns its entity id.
-    pub fn add_raw_client(&mut self, start: SimTime, program: Vec<IoOp>) -> EntityId {
-        let index = self.clients.len();
-        // Reserve the id first so the port can carry it.
-        let me = EntityId(self.sim.num_entities() as u32);
-        let port = self.handles.port(me, index);
-        let id = self.sim.add_entity(
-            format!("client{index}"),
-            Box::new(RawClient::new(port, program)),
-        );
-        debug_assert_eq!(id, me);
-        self.clients.push(id);
-        self.sim.schedule(start, id, PfsMsg::Start);
-        id
     }
 
     /// Run the simulation to completion (sequential executor).
@@ -368,23 +352,6 @@ impl Cluster {
         ))
     }
 
-    /// Completion records of a raw client.
-    pub fn client_records(&self, id: EntityId) -> &[OpRecord] {
-        &self
-            .sim
-            .entity_ref::<RawClient>(id)
-            .expect("not a RawClient entity")
-            .records
-    }
-
-    /// When a raw client finished its program (None = incomplete).
-    pub fn client_finished(&self, id: EntityId) -> Option<SimTime> {
-        self.sim
-            .entity_ref::<RawClient>(id)
-            .expect("not a RawClient entity")
-            .finished_at
-    }
-
     /// Borrow the primary metadata server (post-run inspection).
     pub fn mds(&self) -> &MetadataServer {
         self.mds_at(0)
@@ -442,154 +409,5 @@ impl Cluster {
                     .stats
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pioeval_types::{bytes, FileId, MetaOp};
-
-    fn simple_program(file: u32, write_mb: u64) -> Vec<IoOp> {
-        let f = FileId::new(file);
-        let mut ops = vec![IoOp::meta(MetaOp::Create, f)];
-        ops.push(IoOp::write(f, 0, write_mb * 1_000_000));
-        ops.push(IoOp::meta(MetaOp::Close, f));
-        ops
-    }
-
-    #[test]
-    fn end_to_end_write_completes() {
-        let mut cluster = Cluster::new(ClusterConfig::default()).unwrap();
-        let c = cluster.add_raw_client(SimTime::ZERO, simple_program(1, 16));
-        cluster.run();
-        let finished = cluster.client_finished(c).expect("client never finished");
-        assert!(finished > SimTime::ZERO);
-        let records = cluster.client_records(c);
-        assert_eq!(records.len(), 3);
-        // The write moved 16 MB through two fabrics onto HDDs; the
-        // end-to-end time must exceed the raw 10GbE serialization floor
-        // (~12.8 ms) and the per-OST device time.
-        let write = &records[1];
-        assert!(write.end.since(write.start) > SimDuration::from_millis(10));
-        let stats = cluster.oss_stats();
-        let total_written: u64 = stats.iter().map(|s| s.bytes_written).sum();
-        assert_eq!(total_written, 16_000_000);
-    }
-
-    #[test]
-    fn striping_distributes_across_oss() {
-        let cfg = ClusterConfig {
-            layout: crate::config::LayoutPolicy {
-                stripe_size: bytes::mib(1),
-                stripe_count: 8,
-            },
-            ..ClusterConfig::default()
-        };
-        let mut cluster = Cluster::new(cfg).unwrap();
-        let c = cluster.add_raw_client(SimTime::ZERO, simple_program(1, 32));
-        cluster.run();
-        assert!(cluster.client_finished(c).is_some());
-        let stats = cluster.oss_stats();
-        // All 4 OSS (8 OSTs) should have received data.
-        assert!(stats.iter().all(|s| s.bytes_written > 0));
-    }
-
-    #[test]
-    fn burst_buffer_tier_accelerates_app_visible_writes() {
-        let base = ClusterConfig::default();
-        let with_bb = ClusterConfig {
-            num_ionodes: 2,
-            ..base.clone()
-        };
-
-        let run = |cfg: ClusterConfig| -> (SimDuration, SimTime) {
-            let mut cluster = Cluster::new(cfg).unwrap();
-            let c = cluster.add_raw_client(SimTime::ZERO, simple_program(1, 64));
-            cluster.run();
-            let records = cluster.client_records(c);
-            let write = &records[1];
-            (
-                write.end.since(write.start),
-                cluster.client_finished(c).unwrap(),
-            )
-        };
-
-        let (direct_write, _) = run(base);
-        let (bb_write, _) = run(with_bb);
-        // The SSD tier absorbs the 64 MB burst much faster than the
-        // HDD-backed direct path.
-        assert!(
-            bb_write.as_nanos() * 2 < direct_write.as_nanos(),
-            "burst buffer write {bb_write} not faster than direct {direct_write}"
-        );
-    }
-
-    #[test]
-    fn mds_sees_expected_op_mix() {
-        let mut cluster = Cluster::new(ClusterConfig::default()).unwrap();
-        for i in 0..4 {
-            cluster.add_raw_client(SimTime::ZERO, simple_program(i, 1));
-        }
-        cluster.run();
-        let mds = cluster.mds();
-        assert_eq!(mds.op_counts[MetaOp::Create.index()], 4);
-        assert_eq!(mds.op_counts[MetaOp::Close.index()], 4);
-        assert_eq!(mds.num_files(), 4);
-    }
-
-    #[test]
-    fn multiple_mds_share_the_namespace_load() {
-        let cfg = ClusterConfig {
-            num_mds: 2,
-            ..ClusterConfig::default()
-        };
-        let mut cluster = Cluster::new(cfg).unwrap();
-        // Files 0..8 hash across both MDSs (even ids → mds0, odd → mds1).
-        let program: Vec<IoOp> = (0..8)
-            .map(|i| IoOp::meta(MetaOp::Create, FileId::new(i)))
-            .collect();
-        cluster.add_raw_client(SimTime::ZERO, program);
-        cluster.run();
-        let a = cluster.mds_at(0).stats.requests;
-        let b = cluster.mds_at(1).stats.requests;
-        assert_eq!(a + b, 8);
-        assert_eq!(a, 4);
-        assert_eq!(b, 4);
-        assert_eq!(cluster.mds_requests(), 8);
-        // Namespaces are disjoint.
-        assert_eq!(
-            cluster.mds_at(0).num_files() + cluster.mds_at(1).num_files(),
-            8
-        );
-    }
-
-    #[test]
-    fn clients_contend_on_shared_storage() {
-        // One client writing 8 MB alone vs. eight clients doing the same:
-        // the makespan must grow (the first client is FIFO-protected, but
-        // later arrivals queue behind it at the shared OSTs and fabrics).
-        let solo = {
-            let mut cluster = Cluster::new(ClusterConfig::default()).unwrap();
-            let c = cluster.add_raw_client(SimTime::ZERO, simple_program(0, 8));
-            cluster.run();
-            cluster.client_finished(c).unwrap()
-        };
-        let contended = {
-            let mut cluster = Cluster::new(ClusterConfig::default()).unwrap();
-            let clients: Vec<_> = (0..8)
-                .map(|i| cluster.add_raw_client(SimTime::ZERO, simple_program(i, 8)))
-                .collect();
-            cluster.run();
-            clients
-                .iter()
-                .map(|&c| cluster.client_finished(c).unwrap())
-                .max()
-                .unwrap()
-        };
-        assert!(
-            contended.as_nanos() > 2 * solo.as_nanos(),
-            "contended makespan {contended} should exceed 2x solo {solo}"
-        );
     }
 }

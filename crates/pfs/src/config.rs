@@ -9,15 +9,14 @@ use pioeval_types::{bytes, Error, Result, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// A network fabric: propagation latency plus per-endpoint serialization
-/// bandwidth, with an optional aggregate (backplane) bandwidth cap.
+/// bandwidth. Older configurations may carry an `agg_bw` key; it is
+/// ignored when loading.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct FabricConfig {
     /// One-way propagation latency per message.
     pub latency: SimDuration,
     /// Per-endpoint link bandwidth, bytes/second.
     pub link_bw: u64,
-    /// Aggregate fabric bandwidth cap, bytes/second (0 = uncapped).
-    pub agg_bw: u64,
 }
 
 impl FabricConfig {
@@ -26,7 +25,6 @@ impl FabricConfig {
         FabricConfig {
             latency: SimDuration::from_micros(1),
             link_bw: 12_500_000_000, // 100 Gb/s
-            agg_bw: 0,
         }
     }
 
@@ -35,7 +33,6 @@ impl FabricConfig {
         FabricConfig {
             latency: SimDuration::from_micros(10),
             link_bw: 1_250_000_000, // 10 Gb/s
-            agg_bw: 0,
         }
     }
 }

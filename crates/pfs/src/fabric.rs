@@ -1,10 +1,9 @@
 //! Network fabric entity.
 //!
 //! A fabric is a crossbar with per-destination-endpoint egress
-//! serialization and an optional aggregate backplane cap. A packet for
-//! destination `d` begins transmission when both `d`'s egress port and
-//! (if capped) the backplane are free, transmits for `size / bandwidth`,
-//! and is delivered one propagation latency after transmission completes.
+//! serialization. A packet for destination `d` begins transmission when
+//! `d`'s egress port is free, transmits for `size / bandwidth`, and is
+//! delivered one propagation latency after transmission completes.
 //!
 //! Fan-in congestion — many clients writing to one OSS — therefore
 //! queues at the OSS's egress port, which is the dominant effect the
@@ -32,8 +31,6 @@ pub struct Fabric {
     cfg: FabricConfig,
     /// Egress port free time, per destination entity.
     egress_free: HashMap<u32, SimTime>,
-    /// Backplane free time (aggregate cap).
-    agg_free: SimTime,
     /// Transfer statistics.
     pub stats: FabricStats,
 }
@@ -44,7 +41,6 @@ impl Fabric {
         Fabric {
             cfg,
             egress_free: HashMap::new(),
-            agg_free: SimTime::ZERO,
             stats: FabricStats::default(),
         }
     }
@@ -53,17 +49,6 @@ impl Fabric {
     fn link_time(&self, size: u64) -> SimDuration {
         SimDuration::from_nanos(
             ((size as u128 * 1_000_000_000).div_ceil(self.cfg.link_bw as u128)) as u64,
-        )
-    }
-
-    /// Serialization time for `size` bytes on the backplane (zero if
-    /// uncapped).
-    fn agg_time(&self, size: u64) -> SimDuration {
-        if self.cfg.agg_bw == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos(
-            ((size as u128 * 1_000_000_000).div_ceil(self.cfg.agg_bw as u128)) as u64,
         )
     }
 }
@@ -77,19 +62,14 @@ impl Entity<PfsMsg> for Fabric {
         };
         let now = ctx.now();
         let link_time = self.link_time(packet.size);
-        let agg_time = self.agg_time(packet.size);
         let egress = self
             .egress_free
             .entry(packet.dst.0)
             .or_insert(SimTime::ZERO);
 
-        // Backplane first (if capped), then the destination's egress port.
-        let agg_start = now.max(self.agg_free);
-        let agg_end = agg_start + agg_time;
         let tx_start = now.max(*egress);
-        let tx_end = tx_start.max(agg_end) + link_time;
+        let tx_end = tx_start + link_time;
         *egress = tx_end;
-        self.agg_free = agg_end;
 
         self.stats.packets += 1;
         self.stats.bytes += packet.size;
@@ -146,7 +126,6 @@ mod tests {
         let cfg = FabricConfig {
             latency: SimDuration::from_micros(5),
             link_bw: 1_000_000_000, // 1 GB/s
-            agg_bw: 0,
         };
         let (mut sim, fabric, a, _) = setup(cfg);
         sim.schedule(SimTime::ZERO, fabric, packet(a, 1_000_000)); // 1 MB → 1 ms
@@ -163,7 +142,6 @@ mod tests {
         let cfg = FabricConfig {
             latency: SimDuration::from_micros(1),
             link_bw: 1_000_000_000,
-            agg_bw: 0,
         };
         let (mut sim, fabric, a, _) = setup(cfg);
         sim.schedule(SimTime::ZERO, fabric, packet(a, 1_000_000));
@@ -180,7 +158,6 @@ mod tests {
         let cfg = FabricConfig {
             latency: SimDuration::from_micros(1),
             link_bw: 1_000_000_000,
-            agg_bw: 0,
         };
         let (mut sim, fabric, a, b) = setup(cfg);
         sim.schedule(SimTime::ZERO, fabric, packet(a, 1_000_000));
@@ -189,24 +166,6 @@ mod tests {
         let da = sim.entity_ref::<Sink>(a).unwrap().deliveries[0];
         let db = sim.entity_ref::<Sink>(b).unwrap().deliveries[0];
         assert_eq!(da, db); // no shared bottleneck
-    }
-
-    #[test]
-    fn aggregate_cap_throttles_parallel_transfers() {
-        let cfg = FabricConfig {
-            latency: SimDuration::from_micros(1),
-            link_bw: 1_000_000_000,
-            agg_bw: 1_000_000_000, // backplane == one link
-        };
-        let (mut sim, fabric, a, b) = setup(cfg);
-        sim.schedule(SimTime::ZERO, fabric, packet(a, 1_000_000));
-        sim.schedule(SimTime::ZERO, fabric, packet(b, 1_000_000));
-        sim.run();
-        let da = sim.entity_ref::<Sink>(a).unwrap().deliveries[0];
-        let db = sim.entity_ref::<Sink>(b).unwrap().deliveries[0];
-        // One of the two is pushed out by backplane contention.
-        assert_ne!(da, db);
-        assert!(da.max(db) >= SimTime::from_millis(2));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod oss;
 pub mod stats;
 pub mod striping;
 
-pub use client::{ClientPort, RawClient};
+pub use client::ClientPort;
 pub use cluster::{Cluster, ClusterHandles};
 pub use config::{ClusterConfig, DeviceConfig, FabricConfig, LayoutPolicy, MdsConfig};
 pub use fabric::FabricStats;

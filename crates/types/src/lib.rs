@@ -6,10 +6,10 @@
 //!
 //! This crate defines the small set of types that every other crate in the
 //! workspace speaks: simulated time ([`SimTime`], [`SimDuration`]), identity
-//! newtypes ([`Rank`], [`FileId`], [`JobId`]), the logical I/O operation
-//! vocabulary ([`IoOp`], [`IoKind`], [`MetaOp`]), access-pattern
-//! classification ([`AccessPattern`]), byte-size helpers ([`bytes`]), and
-//! deterministic RNG construction ([`fn@rng`]).
+//! newtypes ([`Rank`], [`FileId`], [`JobId`]), the I/O operation kinds
+//! ([`IoKind`], [`MetaOp`]), per-layer call records ([`LayerRecord`]),
+//! access-pattern classification ([`AccessPattern`]), byte-size helpers
+//! ([`bytes`]), and deterministic RNG construction ([`fn@rng`]).
 //!
 //! The design follows the taxonomy of Neuwirth & Paul (CLUSTER 2021): the
 //! *measurement*, *modeling*, and *simulation* phases of the I/O evaluation
@@ -31,7 +31,7 @@ pub mod units;
 
 pub use error::{Error, Result};
 pub use ids::{ClientId, FileId, JobId, NodeId, OstId, Rank};
-pub use io::{IoKind, IoOp, MetaOp, RankProgram};
+pub use io::{IoKind, MetaOp};
 pub use layer::{Layer, LayerRecord, RecordOp};
 pub use pattern::{AccessPattern, PatternDetector};
 pub use percentile::{percentile, percentile_sorted_u64, percentile_u64};

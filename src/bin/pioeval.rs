@@ -15,7 +15,6 @@
 //! pioeval corpus
 //! ```
 
-use pioeval::core::{InterferenceCampaign, TargetConfig};
 use pioeval::lint::{lint_config, lint_dag, lint_dsl_source, lint_objstore_config, LintReport};
 use pioeval::monitor::SystemAnalysis;
 use pioeval::objstore::ObjStoreConfig;
@@ -1094,7 +1093,7 @@ fn run_campaign(
             target.name(),
         ),
     );
-    let mut campaign = InterferenceCampaign::new(target, opts.seed);
+    let mut campaign = Campaign::new(target, opts.seed);
     for job in &decl.jobs {
         let workload = program
             .workload(&job.workload)
@@ -1108,7 +1107,7 @@ fn run_campaign(
     install_live(opts, &format!("campaign-{path}-{}", opts.seed))?;
     let report = {
         let _run = pioeval::obs::span(pioeval::obs::names::SPAN_RUN, "cli");
-        campaign.run().map_err(|e| e.to_string())?
+        campaign.interference().map_err(|e| e.to_string())?
     };
     let mut table = Table::new(vec!["job", "ranks", "solo", "shared", "slowdown"]);
     let slowdowns = report.slowdowns();
@@ -2584,32 +2583,34 @@ fn cmd_corpus() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("dsl") => cmd_dsl(&args[1..]),
-        Some("lint") => match cmd_lint(&args[1..]) {
+    // `--help`/`-h` after a subcommand prints the usage too, rather than
+    // being read as an option that takes a value.
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let result = match args[0].as_str() {
+        "run" => cmd_run(&args[1..]),
+        "dsl" => cmd_dsl(&args[1..]),
+        "lint" => match cmd_lint(&args[1..]) {
             Ok(true) => Ok(()),
             Ok(false) => return ExitCode::FAILURE, // findings already printed
             Err(e) => Err(e),
         },
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("requests") => cmd_requests(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("taxonomy") => {
+        "watch" => cmd_watch(&args[1..]),
+        "requests" => cmd_requests(&args[1..]),
+        "profile" => cmd_profile(&args[1..]),
+        "bench" => cmd_bench(&args[1..]),
+        "compare" => cmd_compare(&args[1..]),
+        "taxonomy" => {
             cmd_taxonomy();
             Ok(())
         }
-        Some("corpus") => {
+        "corpus" => {
             cmd_corpus();
             Ok(())
         }
-        Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

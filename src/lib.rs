@@ -65,7 +65,8 @@ pub use pioeval_workloads as workloads;
 /// The most common imports for framework users.
 pub mod prelude {
     pub use pioeval_core::{
-        measure, poisson_starts, Campaign, EvaluationLoop, Submission, Table, WorkloadSource,
+        measure, poisson_starts, Campaign, EvaluationLoop, Submission, Table, TargetConfig,
+        WorkloadSource,
     };
     pub use pioeval_iostack::{collect, launch, CaptureConfig, JobSpec, StackConfig, StackOp};
     pub use pioeval_lint::{lint_config, lint_dag, lint_dsl_source, lint_program, LintReport};

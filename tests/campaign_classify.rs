@@ -13,7 +13,7 @@ fn poisson_campaign_runs_and_classifies() {
         ..ClusterConfig::default()
     };
     let starts = poisson_starts(6, SimDuration::from_millis(50), 11);
-    let mut campaign = Campaign::new(cluster, 11);
+    let mut campaign = Campaign::new(TargetConfig::Pfs(cluster), 11);
     for (i, &start) in starts.iter().enumerate() {
         // Alternate writers and DL readers.
         let source: WorkloadSource = if i % 2 == 0 {
@@ -91,7 +91,7 @@ fn overlapping_campaign_jobs_interfere() {
         ..CheckpointLike::default()
     };
     let run = |gap_ms: u64| -> f64 {
-        let mut campaign = Campaign::new(cluster(), 3);
+        let mut campaign = Campaign::new(TargetConfig::Pfs(cluster()), 3);
         campaign.submit(Submission::new(
             WorkloadSource::Synthetic(Box::new(job(2_000))),
             4,

@@ -206,7 +206,7 @@ proptest! {
         threads in 2usize..=4,
         backend in prop::sample::select(vec![Backend::Cooperative, Backend::Threads]),
     ) {
-        use pioeval::core::{measure_target_traced, TargetConfig};
+        use pioeval::core::{measure_target_instrumented, TargetConfig};
         use pioeval::des::ExecMode;
         use pioeval::prelude::*;
         use pioeval::resil::{AckMode, ResilConfig};
@@ -247,7 +247,7 @@ proptest! {
         };
         for (i, target) in targets.iter().enumerate() {
             let trace_of = |exec: &ExecMode| {
-                let report = measure_target_traced(
+                let report = measure_target_instrumented(
                     target,
                     &source,
                     ranks,
@@ -255,6 +255,7 @@ proptest! {
                     seed,
                     exec,
                     true,
+                    false,
                 )
                 .expect("traced measurement");
                 let asm = report.requests.expect("assembly");
@@ -291,7 +292,7 @@ proptest! {
         ack_kind in 0u8..3,
         mtbf in proptest::bool::ANY,
     ) {
-        use pioeval::core::{measure_target_traced, TargetConfig};
+        use pioeval::core::{measure_target_instrumented, TargetConfig};
         use pioeval::des::ExecMode;
         use pioeval::prelude::*;
         use pioeval::resil::{AckMode, FailureEvent, FailureKind, MtbfSchedule, ResilConfig};
@@ -324,13 +325,14 @@ proptest! {
         });
         let source = WorkloadSource::Synthetic(Box::new(IorLike::default()));
         let run = |exec: &ExecMode| {
-            measure_target_traced(
+            measure_target_instrumented(
                 &target,
                 &source,
                 ranks,
                 StackConfig::default(),
                 seed,
                 exec,
+                false,
                 false,
             )
             .expect("measurement with injected failures")
@@ -364,7 +366,8 @@ proptest! {
         fail_ms in 1u64..50,
         transfer_kib in 64u64..2048,
     ) {
-        use pioeval::core::{measure_target, TargetConfig};
+        use pioeval::core::{measure_target_instrumented, TargetConfig};
+        use pioeval::des::ExecMode;
         use pioeval::prelude::*;
         use pioeval::resil::{AckMode, FailureEvent, FailureKind, ResilConfig};
 
@@ -387,8 +390,17 @@ proptest! {
                 ..IorLike::default()
             };
             let source = WorkloadSource::Synthetic(Box::new(workload));
-            measure_target(&target, &source, ranks, StackConfig::default(), seed)
-                .expect("measurement")
+            measure_target_instrumented(
+                &target,
+                &source,
+                ranks,
+                StackConfig::default(),
+                seed,
+                &ExecMode::Sequential,
+                false,
+                false,
+            )
+            .expect("measurement")
                 .resilience
                 .expect("resilience report")
         };

@@ -4,7 +4,7 @@
 //! parallel DES executors, and multipart reassembly must be byte-exact
 //! no matter in which order part commits land.
 
-use pioeval::core::{measure_target_with_exec, TargetConfig, WorkloadSource};
+use pioeval::core::{measure_target_instrumented, TargetConfig, WorkloadSource};
 use pioeval::des::{Backend, ExecMode, ParallelConfig};
 use pioeval::iostack::StackConfig;
 use pioeval::objstore::{ExtentMap, ObjStoreConfig, Placement};
@@ -18,8 +18,17 @@ use rand::SeedableRng;
 /// comparable value: job-level results, metadata traffic, and the
 /// gateway-side view. Any divergence between executors shows up here.
 fn fingerprint(target: &TargetConfig, source: &WorkloadSource, exec: &ExecMode) -> String {
-    let report =
-        measure_target_with_exec(target, source, 8, StackConfig::default(), 7, exec).unwrap();
+    let report = measure_target_instrumented(
+        target,
+        source,
+        8,
+        StackConfig::default(),
+        7,
+        exec,
+        false,
+        false,
+    )
+    .unwrap();
     let mut fp = format!(
         "makespan={:?} written={} read={} mds={}",
         report.makespan(),

@@ -3,7 +3,7 @@
 //! *exactly* (conservation — no nanosecond is dropped or double
 //! counted), on both storage targets and across workload shapes.
 
-use pioeval::core::{measure_target_traced, TargetConfig};
+use pioeval::core::{measure_target_instrumented, TargetConfig};
 use pioeval::des::ExecMode;
 use pioeval::objstore::ObjStoreConfig;
 use pioeval::prelude::*;
@@ -46,7 +46,7 @@ proptest! {
     ) {
         let source = WorkloadSource::Synthetic(workload_for(which));
         let target = target_for(objstore);
-        let report = measure_target_traced(
+        let report = measure_target_instrumented(
             &target,
             &source,
             ranks,
@@ -54,6 +54,7 @@ proptest! {
             seed,
             &ExecMode::Sequential,
             true,
+            false,
         )
         .expect("traced measurement");
         let asm = report.requests.expect("traced run must assemble requests");
@@ -88,7 +89,7 @@ proptest! {
         objstore in any::<bool>(),
     ) {
         let source = WorkloadSource::Synthetic(Box::new(IorLike::default()));
-        let report = measure_target_traced(
+        let report = measure_target_instrumented(
             &target_for(objstore),
             &source,
             ranks,
@@ -96,6 +97,7 @@ proptest! {
             seed,
             &ExecMode::Sequential,
             true,
+            false,
         )
         .expect("traced measurement");
         let asm = report.requests.expect("assembly");
